@@ -21,12 +21,11 @@ sum of the points, and transfers to the H2 formulas through the isometry.
 
 oracle_center is an independent brute-force minimizer (coarse grid plus local
 refinement) used to cross-check the closed form; it shares no code path with it.
+It is the package's only numpy user and imports numpy when called.
 """
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .hyperbolic import (
     HyperboloidPoint,
@@ -201,6 +200,8 @@ def oracle_center(points, tol=1e-6):
     accuracy the fixed schedule is expected to reach (grid 200x200, then 60
     shrinking local grids).
     """
+    import numpy as np
+
     points = list(points)
     if not points:
         raise ValueError("need at least one point")

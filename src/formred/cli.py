@@ -6,6 +6,7 @@ diagnostics on stderr.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ from .errors import (
     RealRootDetected,
 )
 from .forms import parse, serialize
-from .hyperbolic import in_fundamental_domain, reduce_point_to_fundamental_domain
+from .hyperbolic import dist_h2, in_fundamental_domain, reduce_point_to_fundamental_domain
 from .reduce import (
     SCHEMA_VERSION,
     compare_methods,
@@ -130,7 +131,6 @@ def cmd_zero(args):
             payload["zeros"][m] = zp.to_dict()
             payload["zeros"][m]["diagnostics"] = diag
         if len(methods) == 2:
-            from .hyperbolic import dist_h2
             payload["zero_gap"] = format_decimal(
                 dist_h2(results["centroid"][0].point, results["julia"][0].point))
         _emit(args, payload)
@@ -143,7 +143,6 @@ def cmd_zero(args):
             line += f", gradient_norm = {diag['gradient_norm']:.3e}"
         print(line)
     if len(methods) == 2:
-        from .hyperbolic import dist_h2
         gap = dist_h2(results["centroid"][0].point, results["julia"][0].point)
         print(f"zero_gap = {format_decimal(gap, args.precision)}")
     return 0
@@ -205,7 +204,6 @@ def _batch_record(ident, line_coeffs, methods, tol):
             "zero_point": rep.zero_point.to_dict(),
         }
     if len(methods) == 2:
-        from .hyperbolic import dist_h2
         record["zero_gap"] = format_decimal(dist_h2(
             reports["centroid"].zero_point.point, reports["julia"].zero_point.point))
         record["same_reduced_form"] = reports["centroid"].reduced == reports["julia"].reduced
@@ -244,7 +242,7 @@ def cmd_batch(args):
         print(f"cannot open {args.input}: {exc}", file=sys.stderr)
         return 1
     records = []
-    with stream if stream is not sys.stdin else _nullcontext(stream) as fh:
+    with stream if stream is not sys.stdin else contextlib.nullcontext(stream) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -268,17 +266,6 @@ def cmd_batch(args):
         print(json.dumps({"schema_version": SCHEMA_VERSION, "type": "summary", **summary},
                          sort_keys=True, separators=(",", ":")))
     return 0
-
-
-class _nullcontext:
-    def __init__(self, value):
-        self.value = value
-
-    def __enter__(self):
-        return self.value
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _summarize(records, primary_method):

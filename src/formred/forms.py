@@ -24,7 +24,7 @@ def _exact(value, what="coefficient"):
         raise FormParseError(f"cannot read {what} from {value!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnimodularMatrix:
     """Integer 2x2 matrix (a b; c d) with determinant 1."""
 
@@ -115,7 +115,7 @@ class RealQuadraticFactor:
         return math.sqrt(float(self.d_squared)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryForm:
     """Degree-n binary form, coefficients c_0..c_n in descending powers of X."""
 

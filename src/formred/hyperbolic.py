@@ -33,7 +33,7 @@ def is_infinite(p):
     return isinstance(p, float) and math.isinf(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointH2:
     x: float
     y: float

@@ -14,13 +14,15 @@ Optimizer: damped Newton in (x, tau) or (Re z, Im z, tau) with t = exp(tau)
 (keeps t > 0), Armijo backtracking, and a plain gradient step whenever the
 Hessian is not positive definite.  Initialized at the hyperbolic center of
 mass (real path) or at the mean/spread of the roots (complex path).
+
+The optimizer works on tuples of plain floats: a Cholesky pass tests the
+Hessian, a partial-pivot elimination solves for the Newton step, and sums over
+the roots run left to right.
 """
 
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
@@ -129,32 +131,76 @@ def tangent_sum(w, roots):
         gy += 2.0 * d.imag / D
         gt += 2.0 * t / D - 1.0 / t
     t2 = t * t
-    return np.array([t2 * gx, t2 * gy, t2 * gt])
+    return (t2 * gx, t2 * gy, t2 * gt)
 
 
 def gradient_norm(w, roots):
     """Riemannian norm of tangent_sum at w."""
     z, t = _as_h3(w)
-    v = tangent_sum(w, roots)
-    return float(np.linalg.norm(v)) / t
+    return math.hypot(*tangent_sum(w, roots)) / t
+
+
+def _positive_definite(h):
+    """Cholesky pass over the symmetric matrix h: every pivot must stay positive."""
+    n = len(h)
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = h[j][j]
+        for k in range(j):
+            pivot -= low[j][k] * low[j][k]
+        if not pivot > 0:
+            return False
+        low[j][j] = root = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            acc = h[i][j]
+            for k in range(j):
+                acc -= low[i][k] * low[j][k]
+            low[i][j] = acc / root
+    return True
+
+
+def _solve(a, b):
+    """Solve a x = b by elimination with partial pivoting; None when a is singular."""
+    n = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for j in range(n):
+        best = max(range(j, n), key=lambda i: abs(rows[i][j]))
+        rows[j], rows[best] = rows[best], rows[j]
+        pivot = rows[j][j]
+        if pivot == 0:
+            return None
+        for i in range(j + 1, n):
+            f = rows[i][j] / pivot
+            for k in range(j + 1, n + 1):
+                rows[i][k] -= f * rows[j][k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n]
+        for k in range(i + 1, n):
+            acc -= rows[i][k] * x[k]
+        x[i] = acc / rows[i][i]
+    return x
+
+
+def _dot(u, v):
+    acc = 0.0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
 
 
 def _minimize(value_grad_hess, p0, tol, max_iter):
     """Damped Newton with Armijo backtracking; falls back to gradient steps."""
-    p = np.asarray(p0, dtype=float)
+    p = tuple(float(v) for v in p0)
     val, grad, hess, riem = value_grad_hess(p)
     for it in range(max_iter):
         if riem <= tol:
             return p, val, riem, it
-        try:
-            np.linalg.cholesky(hess)
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        slope = float(grad @ step)
-        if slope >= 0:
-            step = -grad
-            slope = float(grad @ step)
+        descent = [-g for g in grad]
+        step = _solve(hess, descent) if _positive_definite(hess) else None
+        if step is None or _dot(grad, step) >= 0:
+            step = descent
+        slope = _dot(grad, step)
         if abs(slope) <= 1e-13 * (1.0 + abs(val)):
             # predicted decrease is below evaluation noise: the line search can
             # no longer discriminate, but the full Newton step is tiny and safe
@@ -162,12 +208,12 @@ def _minimize(value_grad_hess, p0, tol, max_iter):
         else:
             s = 1.0
             while s > 1e-12:
-                cand = p + s * step
+                cand = tuple(pi + s * di for pi, di in zip(p, step))
                 cval = value_grad_hess(cand)[0]
                 if cval <= val + 1e-4 * s * slope:
                     break
                 s *= 0.5
-        p = p + s * step
+        p = tuple(pi + s * di for pi, di in zip(p, step))
         val, grad, hess, riem = value_grad_hess(p)
     if riem <= tol:
         return p, val, riem, max_iter
@@ -176,55 +222,59 @@ def _minimize(value_grad_hess, p0, tol, max_iter):
 
 
 def _real_problem(pairs):
-    xs = np.array([p.x for p in pairs])
-    ys = np.array([p.y for p in pairs])
+    pts = [(p.x, p.y) for p in pairs]
+    n = len(pts)
 
     def fgh(p):
         x, tau = p
         t = math.exp(tau)
         t2 = t * t
-        dx = x - xs
-        D = dx * dx + ys * ys + t2
-        val = float(2.0 * (np.log(D).sum() - len(xs) * tau))
-        gx = float((4.0 * dx / D).sum())
-        gtau = float((4.0 * t2 / D - 2.0).sum())
-        gxx = float((4.0 / D - 8.0 * dx * dx / (D * D)).sum())
-        gxt = float((-8.0 * dx * t2 / (D * D)).sum())
-        gtt = float((8.0 * t2 / D - 8.0 * t2 * t2 / (D * D)).sum())
-        grad = np.array([gx, gtau])
-        hess = np.array([[gxx, gxt], [gxt, gtt]])
+        logs = gx = gtau = gxx = gxt = gtt = 0.0
+        for px, py in pts:
+            dx = x - px
+            D = dx * dx + py * py + t2
+            DD = D * D
+            logs += math.log(D)
+            gx += 4.0 * dx / D
+            gtau += 4.0 * t2 / D - 2.0
+            gxx += 4.0 / D - 8.0 * dx * dx / DD
+            gxt += -8.0 * dx * t2 / DD
+            gtt += 8.0 * t2 / D - 8.0 * t2 * t2 / DD
+        val = 2.0 * (logs - n * tau)
         riem = math.sqrt(t2 * gx * gx + gtau * gtau)
-        return val, grad, hess, riem
+        return val, (gx, gtau), ((gxx, gxt), (gxt, gtt)), riem
 
     return fgh
 
 
 def _complex_problem(roots):
-    ps = np.array([complex(r).real for r in roots])
-    qs = np.array([complex(r).imag for r in roots])
+    pts = [(complex(r).real, complex(r).imag) for r in roots]
+    n = len(pts)
 
     def fgh(p):
         x, y, tau = p
         t = math.exp(tau)
         t2 = t * t
-        dx = x - ps
-        dy = y - qs
-        D = dx * dx + dy * dy + t2
-        val = float(np.log(D).sum() - len(ps) * tau)
-        gx = float((2.0 * dx / D).sum())
-        gy = float((2.0 * dy / D).sum())
-        gtau = float((2.0 * t2 / D - 1.0).sum())
-        D2 = D * D
-        gxx = float((2.0 / D - 4.0 * dx * dx / D2).sum())
-        gyy = float((2.0 / D - 4.0 * dy * dy / D2).sum())
-        gxy = float((-4.0 * dx * dy / D2).sum())
-        gxt = float((-4.0 * dx * t2 / D2).sum())
-        gyt = float((-4.0 * dy * t2 / D2).sum())
-        gtt = float((4.0 * t2 / D - 4.0 * t2 * t2 / D2).sum())
-        grad = np.array([gx, gy, gtau])
-        hess = np.array([[gxx, gxy, gxt], [gxy, gyy, gyt], [gxt, gyt, gtt]])
+        logs = gx = gy = gtau = gxx = gyy = gxy = gxt = gyt = gtt = 0.0
+        for px, py in pts:
+            dx = x - px
+            dy = y - py
+            D = dx * dx + dy * dy + t2
+            D2 = D * D
+            logs += math.log(D)
+            gx += 2.0 * dx / D
+            gy += 2.0 * dy / D
+            gtau += 2.0 * t2 / D - 1.0
+            gxx += 2.0 / D - 4.0 * dx * dx / D2
+            gyy += 2.0 / D - 4.0 * dy * dy / D2
+            gxy += -4.0 * dx * dy / D2
+            gxt += -4.0 * dx * t2 / D2
+            gyt += -4.0 * dy * t2 / D2
+            gtt += 4.0 * t2 / D - 4.0 * t2 * t2 / D2
+        val = logs - n * tau
+        hess = ((gxx, gxy, gxt), (gxy, gyy, gyt), (gxt, gyt, gtt))
         riem = math.sqrt(t2 * (gx * gx + gy * gy) + gtau * gtau)
-        return val, grad, hess, riem
+        return val, (gx, gy, gtau), hess, riem
 
     return fgh
 

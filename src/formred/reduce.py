@@ -53,7 +53,7 @@ def format_decimal_sqrt(value, digits=30):
     return str(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroPoint:
     """A zero-map value with optional exact rational coordinates (t, u^2)."""
 
@@ -72,7 +72,7 @@ class ZeroPoint:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionReport:
     input: BinaryForm
     method: str
@@ -162,6 +162,13 @@ def reduce_form(F, method="centroid", tol=1e-10):
     Works for real forms of even degree without real roots; raises
     RealRootDetected otherwise.
     """
+    return _reduce(F, method, tol)
+
+
+def _reduce(F, method, tol, prior=None):
+    """reduce_form; `prior`, an earlier report on F, lends its matrix, reduced
+    form and heights when its matrix is the same, so one exact transform serves
+    both and the two reports hold one copy of each."""
     _check_method(method)
     if F.degree % 2:
         raise RealRootDetected("odd-degree real forms always have a real root")
@@ -172,15 +179,19 @@ def reduce_form(F, method="centroid", tol=1e-10):
     else:
         pt, M = reduce_point_to_fundamental_domain(zp.point)
         red_pt = ZeroPoint(pt)
-    reduced = transform(F, M)
+    if prior is not None and prior.matrix == M:
+        M, reduced, height_after = prior.matrix, prior.reduced, prior.height_after
+    else:
+        reduced = transform(F, M)
+        height_after = normalized_height(reduced)
     return ReductionReport(
         input=F,
         method=method,
         zero_point=zp,
         matrix=M,
         reduced=reduced,
-        height_before=normalized_height(F),
-        height_after=normalized_height(reduced),
+        height_before=prior.height_before if prior is not None else normalized_height(F),
+        height_after=height_after,
         reduced_point=red_pt,
         diagnostics=diag,
     )
@@ -194,8 +205,8 @@ def is_reduced(F, method="centroid", tol=1e-10):
 
 def compare_methods(F, tol=1e-10):
     """Run both reductions and measure how far apart the two zero maps land."""
-    rc = reduce_form(F, method="centroid", tol=tol)
-    rj = reduce_form(F, method="julia", tol=tol)
+    rc = _reduce(F, "centroid", tol)
+    rj = _reduce(F, "julia", tol, prior=rc)
     gap = dist_h2(rc.zero_point.point, rj.zero_point.point)
     return ComparisonReport(
         centroid_report=rc,

@@ -6,6 +6,15 @@ offset), then polished root-by-root with Newton steps.  Estimates closer than
 the clustering radius are merged to their mean, which recovers accuracy for
 multiple roots.  Forms with a numerically real root are rejected loudly: the
 downstream center-of-mass formulas divide by the imaginary parts.
+
+Certification and the final Newton steps evaluate the form exactly at each
+float iterate.  A float is dyadic, so with the form's denominators cleared once
+(integer coefficients over one common denominator) and both parts of the
+iterate scaled by a common 2^e, Horner runs on Python ints alone; each part is
+rounded once at the end by int / int, which is correctly rounded, so the value
+equals the float of the exact rational value bit for bit.  The zoom re-solve
+shifts to a dyadic centre and scales by a power of two, so its Taylor shift
+runs on ints too.
 """
 
 import cmath
@@ -13,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from .forms import RealQuadraticFactor, expand_quadratic_factors
@@ -22,6 +32,8 @@ log = logging.getLogger(__name__)
 
 REALNESS_THRESHOLD = 1e-8
 _CLUSTER_RADIUS = 1e-7
+# the zoom centre is a multiple of 2^-_ZOOM_BITS
+_ZOOM_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -142,53 +154,83 @@ def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
     return best
 
 
-def _horner_exact(coeffs, re, im):
-    """Horner evaluation at re + i*im in exact rational arithmetic."""
-    pr, pi = Fraction(0), Fraction(0)
-    for c in coeffs:
-        pr, pi = pr * re - pi * im + c, pr * im + pi * re
-    return pr, pi
+class _IntegerPoly(NamedTuple):
+    """A polynomial as integer coefficients (descending) over one positive denominator."""
+
+    ints: list
+    den: int
+
+    @classmethod
+    def of_form(cls, F):
+        den = 1
+        for c in F.coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return cls([int(c * den) for c in F.coeffs], den)
+
+    def derivative(self):
+        n = len(self.ints) - 1
+        return _IntegerPoly([c * (n - i) for i, c in enumerate(self.ints[:-1])], self.den)
 
 
-def _exact_newton_polish(F, x, multiplicity=1, rounds=3):
+def _dyadic(x):
+    """(A, B, e) with x = (A + iB) / 2^e exactly, for a complex x with finite parts."""
+    a, da = x.real.as_integer_ratio()
+    b, db = x.imag.as_integer_ratio()
+    ea, eb = da.bit_length() - 1, db.bit_length() - 1
+    e = max(ea, eb)
+    return a << (e - ea), b << (e - eb), e
+
+
+def _exact_value(poly, dyadic):
+    """p at the dyadic point (A + iB) / 2^e, each part the correctly rounded float.
+
+    Homogeneous Horner on ints gives den * 2^(en) * p exactly; one int / int
+    per part rounds it.
+    """
+    A, B, e = dyadic
+    pr = pi = 0
+    shift = 0
+    for c in poly.ints:
+        pr, pi = pr * A - pi * B + (c << shift), pr * B + pi * A
+        shift += e
+    scale = poly.den << (e * (len(poly.ints) - 1))
+    return complex(pr / scale, pi / scale)
+
+
+def _exact_newton_polish(poly, dpoly, x, multiplicity=1, rounds=3):
     """Newton steps with the polynomial evaluated exactly at the float iterate.
 
     Float Horner on large integer coefficients loses enough accuracy to spoil
-    conjugate pairing; evaluating p and p' in exact rational arithmetic leaves
-    only the float representation of the iterate itself.
+    conjugate pairing; evaluating p and p' exactly leaves only the float
+    representation of the iterate itself.
     """
-    n = F.degree
-    dcoeffs = [c * (n - i) for i, c in enumerate(F.coeffs[:-1])]
     for _ in range(rounds):
-        re, im = Fraction(x.real), Fraction(x.imag)
-        pr, pi = _horner_exact(F.coeffs, re, im)
-        dr, di = _horner_exact(dcoeffs, re, im)
-        dp = complex(dr, di)
+        at = _dyadic(x)
+        dp = _exact_value(dpoly, at)
         if dp == 0:
             break
-        step = multiplicity * complex(pr, pi) / dp
+        step = multiplicity * _exact_value(poly, at) / dp
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
     return x
 
 
-def _refine(F, coeffs, deriv, estimates):
+def _refine(poly, dpoly, coeffs, deriv, estimates):
     """Cluster raw estimates, then polish each cluster to full accuracy."""
     out = []
     for value, mult in _cluster(estimates):
         if mult > 1:
             value = _multiple_root_polish(coeffs, deriv, value, mult)
-        value = _exact_newton_polish(F, value, multiplicity=mult)
+        value = _exact_newton_polish(poly, dpoly, value, multiplicity=mult)
         out.extend([value] * mult)
     return out
 
 
-def _exact_residual(F, r):
-    """|F(r, 1)| / (height * (1 + |r|)^n), with the numerator evaluated exactly."""
-    pr, pi = _horner_exact(F.coeffs, Fraction(r.real), Fraction(r.imag))
-    h = float(max(abs(c) for c in F.coeffs))
-    return abs(complex(pr, pi)) / (h * (1.0 + abs(r)) ** F.degree)
+def _exact_residual(poly, r):
+    """|p(r)| / (height * (1 + |r|)^n), with the numerator evaluated exactly."""
+    h = max(abs(c) for c in poly.ints) / poly.den
+    return abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** (len(poly.ints) - 1))
 
 
 def _conjugate_defect(roots):
@@ -239,22 +281,35 @@ def _coarse_groups(roots, radius=0.02):
     return groups
 
 
-def _taylor_shift_scaled(F, x0, s):
-    """Exact coefficients (descending) of F(x0 + s*w, 1) as a polynomial in w."""
-    work = list(F.coeffs)
+def _taylor_shift_scaled(poly, k, m):
+    """Exact coefficients (descending) of p(k/2^24 + w/2^m) as a polynomial in w.
+
+    Returned as an _IntegerPoly.  With L = 2^24, L^n p((k + u)/L) is the integer
+    polynomial sum_j c_j L^j (k + u)^(n-j); its Taylor shift by k runs on ints,
+    and u = 2^(24-m) w only scales the coefficients by powers of two.
+    """
+    n = len(poly.ints) - 1
+    work = [c << (_ZOOM_BITS * j) for j, c in enumerate(poly.ints)]
     taylor = []
-    for _ in range(F.degree + 1):
-        acc = Fraction(0)
+    for _ in range(n + 1):
+        acc = 0
         quotient = []
         for c in work:
-            acc = acc * x0 + c
+            acc = acc * k + c
             quotient.append(acc)
         taylor.append(quotient.pop())
         work = quotient
-    return [taylor[k] * s**k for k in range(len(taylor))][::-1]
+    shift = _ZOOM_BITS - m
+    den = poly.den << (_ZOOM_BITS * n)
+    if shift >= 0:
+        ints = [t << (shift * j) for j, t in enumerate(taylor)]
+    else:
+        ints = [t << (-shift * (n - j)) for j, t in enumerate(taylor)]
+        den <<= -shift * n
+    return _IntegerPoly(ints[::-1], den)
 
 
-def _zoom_solve(F, coeffs, deriv, cluster, max_iter):
+def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     """Re-solve after recentering on a tight root cluster.
 
     A Moebius substitution can contract roots into clusters whose diameter is
@@ -267,23 +322,23 @@ def _zoom_solve(F, coeffs, deriv, cluster, max_iter):
     diam = max(abs(r - center) for r in cluster)
     if diam == 0:
         return None
-    n = F.degree
-    x0 = Fraction(round(center.real * 2**24), 2**24)
-    s = Fraction(2) ** math.frexp(2.0 * diam)[1]
-    if s > 1:
+    n = len(poly.ints) - 1
+    k = round(center.real * 2**_ZOOM_BITS)
+    scale_exp = math.frexp(2.0 * diam)[1]
+    if scale_exp > 0:
         return None
-    shifted = _taylor_shift_scaled(F, x0, s)
+    shifted = _taylor_shift_scaled(poly, k, -scale_exp).ints
     top = max(abs(c) for c in shifted)
     if top == 0:
         return None
-    local = [float(c / top) for c in shifted]
+    local = [c / top for c in shifted]
     local_deriv = [local[i] * (n - i) for i in range(n)]
     ws = _aberth(local, max_iter)
     ws = [_newton_polish(local, local_deriv, w) for w in ws]
-    x0f, sf = float(x0), float(s)
+    x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
     log.debug("zoom re-solve at %s with scale %s", x0f, sf)
-    return _refine(F, coeffs, deriv, back)
+    return _refine(poly, dpoly, coeffs, deriv, back)
 
 
 def complex_roots(F, tol=1e-10, max_iter=200):
@@ -294,18 +349,20 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     sums must also match their exact coefficient values.
     """
     n = F.degree
+    poly = _IntegerPoly.of_form(F)
+    dpoly = poly.derivative()
     coeffs = [float(c) for c in F.coeffs]
     deriv = [coeffs[i] * (n - i) for i in range(n)]
     xs = _aberth(coeffs, max_iter)
     xs = [_newton_polish(coeffs, deriv, x) for x in xs]
-    xs = _refine(F, coeffs, deriv, xs)
+    xs = _refine(poly, dpoly, coeffs, deriv, xs)
     # clusters of nearby roots are exactly where double precision runs out;
     # zoom into each and keep the result when the integrity certificates improve
     quality = max(_conjugate_defect(xs), _power_sum_defect(F, xs))
     for group in _coarse_groups(xs):
         if len(group) < 2 or quality <= 1e-12:
             continue
-        zoomed = _zoom_solve(F, coeffs, deriv, group, max_iter)
+        zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group, max_iter)
         if zoomed is None:
             continue
         new_quality = max(_conjugate_defect(zoomed), _power_sum_defect(F, zoomed))
@@ -315,7 +372,7 @@ def complex_roots(F, tol=1e-10, max_iter=200):
         raise ConvergenceFailure(
             f"root multiset fails the power-sum certificate ({_power_sum_defect(F, xs):.3e})")
     for r in xs:
-        rel = _exact_residual(F, r)
+        rel = _exact_residual(poly, r)
         if not rel <= tol:
             raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
     xs.sort(key=lambda r: (r.real, r.imag))

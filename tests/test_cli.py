@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import formred
 from conftest import SEXTIC_COEFFS
 from formred.cli import main, sqrt_display
 from formred.hyperbolic import PointH2, in_fundamental_domain
@@ -179,3 +184,22 @@ def test_schema_version_in_every_json_payload(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["schema_version"] == 1
+
+
+def test_reduction_path_does_not_import_numpy():
+    code = f"""
+import contextlib, io, sys
+import formred, formred.cli
+from formred import BinaryForm, compare_methods
+compare_methods(BinaryForm({SEXTIC_COEFFS!r}))
+for method in ("centroid", "both"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert formred.cli.main(["reduce", "--coeffs", "{SEXTIC_ARG}", "--method", method]) == 0
+print("numpy" in sys.modules)
+"""
+    src = str(Path(formred.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

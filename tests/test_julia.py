@@ -10,6 +10,8 @@ from formred.errors import NotPositiveDefinite
 from formred.forms import BinaryForm, transform
 from formred.hyperbolic import PointH2, PointH3, dist_h2, mobius_h2
 from formred.julia import (
+    _positive_definite,
+    _solve,
     BarycentricWeights,
     distance_sum,
     gradient_norm,
@@ -28,6 +30,41 @@ SEXTIC_ROOTS = [complex(x, s * y) for x, y in SEXTIC_PAIRS for s in (1, -1)]
 
 def random_roots(rng, n):
     return [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n)]
+
+
+def random_symmetric(rng, n):
+    a = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
+    return [[a[i][j] if i <= j else a[j][i] for j in range(n)] for i in range(n)]
+
+
+class TestLinearAlgebra:
+    def test_positive_definite_agrees_with_cholesky(self):
+        rng = random.Random(81)
+        seen = set()
+        for _ in range(400):
+            h = random_symmetric(rng, rng.choice([2, 3]))
+            try:
+                np.linalg.cholesky(np.array(h))
+                expected = True
+            except np.linalg.LinAlgError:
+                expected = False
+            assert _positive_definite(h) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_solve_matches_numpy(self):
+        rng = random.Random(82)
+        for _ in range(400):
+            n = rng.choice([2, 3])
+            a = random_symmetric(rng, n)
+            b = [rng.uniform(-2, 2) for _ in range(n)]
+            expected = np.linalg.solve(np.array(a), np.array(b))
+            x = _solve(a, b)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert max(abs(u - v) for u, v in zip(x, expected)) <= 1e-9 * scale * np.linalg.cond(a)
+
+    def test_solve_reports_singular(self):
+        assert _solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
 
 
 class TestQF:

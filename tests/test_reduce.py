@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,11 @@ from formred.reduce import (
 )
 
 X2_PLUS_Z2 = BinaryForm((1, 0, 1))
+
+# compare_methods reports recorded byte for byte: the worked sextic, the first
+# three scrambled forms of the acceptance corpus (ACCEPTANCE_SEED + 10) and a
+# quartic whose two zero maps choose different matrices
+GOLDEN = json.loads((Path(__file__).parent / "data" / "compare_golden.json").read_text())
 
 
 class TestReduceForm:
@@ -171,3 +177,20 @@ class TestZeroPoint:
         assert diag["gradient_norm"] <= 1e-10
         assert diag["iterations"] >= 1
         assert 3.5 < zp.point.x < 4.5
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_comparison_report_bytes(case):
+    report = compare_methods(BinaryForm(tuple(case["coefficients"])))
+    assert json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")) == case["report"]
+
+
+def test_comparison_shares_one_transform_per_matrix():
+    for case in GOLDEN:
+        report = compare_methods(BinaryForm(tuple(case["coefficients"])))
+        rc, rj = report.centroid_report, report.julia_report
+        assert rj.height_before is rc.height_before
+        assert (rj.matrix is rc.matrix) == report.same_matrix
+        assert (rj.reduced is rc.reduced) == report.same_matrix
+        assert (rj.height_after is rc.height_after) == report.same_matrix
+        assert rj.reduced == transform(rj.input, rj.matrix)

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEXTIC_COEFFS, SEXTIC_FACTORS, SEXTIC_PAIRS, random_integer_factor
 from formred.errors import RealRootDetected, UnpairedRoot
@@ -13,6 +15,10 @@ from formred.forms import (
     height,
 )
 from formred.roots import (
+    _dyadic,
+    _exact_value,
+    _IntegerPoly,
+    _taylor_shift_scaled,
     complex_roots,
     pair_conjugates,
     real_quadratic_factors,
@@ -137,3 +143,81 @@ class TestRealQuadraticFactors:
         assert all(f.is_exact for f in facs)
         assert sorted((f.a, f.b) for f in facs) == [(Fraction(-4), Fraction(13)),
                                                     (Fraction(0), Fraction(1))]
+
+
+def fraction_horner(coeffs, re, im):
+    """Reference: Horner at re + i*im in Fraction arithmetic."""
+    pr, pi = Fraction(0), Fraction(0)
+    for c in coeffs:
+        pr, pi = pr * re - pi * im + c, pr * im + pi * re
+    return pr, pi
+
+
+def fraction_taylor_shift_scaled(coeffs, x0, s):
+    """Reference: exact coefficients (descending) of F(x0 + s*w, 1) in w."""
+    work = list(coeffs)
+    taylor = []
+    for _ in range(len(coeffs)):
+        acc = Fraction(0)
+        quotient = []
+        for c in work:
+            acc = acc * x0 + c
+            quotient.append(acc)
+        taylor.append(quotient.pop())
+        work = quotient
+    return [taylor[k] * s**k for k in range(len(taylor))][::-1]
+
+
+def bits(z):
+    """Bit pattern of z, except the sign of a zero imaginary part: complex() of
+    two Fractions adds the imaginary part to +0.0, so the reference turns an
+    underflowed -0.0 into +0.0."""
+    return z.real.hex(), z.imag.hex() if z.imag else 0.0
+
+
+HEIGHT = 10**12
+rationals = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+forms = st.integers(2, 20).flatmap(
+    lambda n: st.tuples(rationals.filter(bool), st.lists(rationals, min_size=n, max_size=n))
+).map(lambda lead_rest: BinaryForm((lead_rest[0], *lead_rest[1])))
+parts = st.one_of(
+    st.just(0.0),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-6, 1e-6),
+    st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-1120, -1000)),
+)
+
+
+class TestExactEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(forms, parts, parts)
+    def test_integer_horner_matches_fraction_horner(self, F, re, im):
+        poly = _IntegerPoly.of_form(F)
+        x = complex(re, im)
+        got = _exact_value(poly, _dyadic(x))
+        want = complex(*fraction_horner(F.coeffs, Fraction(re), Fraction(im)))
+        assert bits(got) == bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms, parts, parts)
+    def test_derivative_matches_fraction_horner(self, F, re, im):
+        n = F.degree
+        dcoeffs = [c * (n - i) for i, c in enumerate(F.coeffs[:-1])]
+        x = complex(re, im)
+        got = _exact_value(_IntegerPoly.of_form(F).derivative(), _dyadic(x))
+        want = complex(*fraction_horner(dcoeffs, Fraction(re), Fraction(im)))
+        assert bits(got) == bits(want)
+
+    @given(forms)
+    def test_integer_poly_is_exact(self, F):
+        poly = _IntegerPoly.of_form(F)
+        assert poly.den > 0
+        assert [Fraction(c, poly.den) for c in poly.ints] == list(F.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms, st.integers(-2**40, 2**40), st.integers(0, 80))
+    def test_taylor_shift_matches_fractions(self, F, k, m):
+        shifted = _taylor_shift_scaled(_IntegerPoly.of_form(F), k, m)
+        want = fraction_taylor_shift_scaled(F.coeffs, Fraction(k, 2**24), Fraction(1, 2**m))
+        assert shifted.den > 0
+        assert [Fraction(c, shifted.den) for c in shifted.ints] == want
