@@ -1,8 +1,9 @@
 """Command-line interface: single-form and batch reduction, zero-map inspection.
 
 Exit codes: 0 success, 1 usage or input error, 2 real root detected,
-3 optimizer/root-finder failure.  Set FORMRED_LOG=DEBUG (or INFO, ...) for
-diagnostics on stderr.
+3 optimizer/root-finder failure (no convergence, or roots that do not pair
+into conjugates).  Set FORMRED_LOG=DEBUG (or INFO, ...) for diagnostics on
+stderr.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from .errors import (
     FormParseError,
     FormReductionError,
     RealRootDetected,
+    UnpairedRoot,
 )
 from .forms import parse, serialize
 from .hyperbolic import dist_h2, in_fundamental_domain, reduce_point_to_fundamental_domain
@@ -32,6 +34,24 @@ from .reduce import (
 from .roots import complex_roots, pair_conjugates
 
 log = logging.getLogger(__name__)
+
+
+# (error class, batch status, exit code), most specific first; any other
+# FormReductionError is a "reduction_error" with exit code 1
+_FAILURES = (
+    (FormParseError, "parse_error", 1),
+    (RealRootDetected, "real_root_detected", 2),
+    (ConvergenceFailure, "convergence_failure", 3),
+    (UnpairedRoot, "unpaired_root", 3),
+)
+
+
+def _classify(exc):
+    """(batch status, exit code) of a FormReductionError."""
+    for cls, status, code in _FAILURES:
+        if isinstance(exc, cls):
+            return status, code
+    return "reduction_error", 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,14 +205,8 @@ def _batch_record(ident, line_coeffs, methods, tol):
     try:
         F = parse(line_coeffs)
         reports = {m: reduce_form(F, method=m, tol=tol) for m in methods}
-    except FormParseError as exc:
-        record.update(status="parse_error", error=str(exc))
-        return record
-    except RealRootDetected as exc:
-        record.update(status="real_root_detected", error=str(exc))
-        return record
-    except ConvergenceFailure as exc:
-        record.update(status="convergence_failure", error=str(exc))
+    except FormReductionError as exc:
+        record.update(status=_classify(exc)[0], error=str(exc))
         return record
     record["status"] = "ok"
     record["degree"] = F.degree
@@ -356,7 +370,6 @@ def build_parser():
     p.add_argument("--input", required=True, help="input file, or - for stdin")
     add_common(p, default_method="both", default_format="jsonl",
                formats=("jsonl", "csv"))
-    p.add_argument("--seed", type=int, default=None, help="unused; reserved for corpora")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("geodata", help="emit roots/zeros/reduction path as JSON")
@@ -376,18 +389,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except FormParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RealRootDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except FormReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _classify(exc)[1]
 
 
 if __name__ == "__main__":

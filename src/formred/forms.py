@@ -1,9 +1,11 @@
 """Binary forms with exact rational coefficients and the unimodular action on them.
 
 A form of degree n is F(X, Z) = sum_i c_i X^(n-i) Z^i with c_0 != 0; coefficients
-are stored as exact rationals in descending powers of X.  A matrix M = (a b; c d)
-with det 1 acts by substitution, F^M(X, Z) = F(aX + bZ, cX + dZ), which is a right
-action: (F^M)^N = F^(MN).
+are stored as exact rationals in descending powers of X, each a plain int when
+integral and a Fraction otherwise, so integral forms are transformed and
+measured in int arithmetic.  A matrix M = (a b; c d) with det 1 acts by
+substitution, F^M(X, Z) = F(aX + bZ, cX + dZ), which is a right action:
+(F^M)^N = F^(MN).
 """
 
 import math
@@ -15,13 +17,20 @@ from .errors import FormParseError, RealRootDetected
 
 
 def _exact(value, what="coefficient"):
-    """Coerce to Fraction, rejecting floats (coefficients are exact by contract)."""
+    """Coerce to an exact rational: a plain int when integral, else a Fraction.
+
+    Floats are rejected (coefficients are exact by contract); bools, numpy
+    integers and integral Fractions or 'p/q' strings all come out as int.
+    """
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (int, Fraction or 'p/q' string), got float")
     try:
-        return Fraction(value)
+        f = Fraction(value)
     except (ValueError, TypeError) as exc:
         raise FormParseError(f"cannot read {what} from {value!r}") from exc
+    return int(f.numerator) if f.denominator == 1 else f
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +126,11 @@ class RealQuadraticFactor:
 
 @dataclass(frozen=True, slots=True)
 class BinaryForm:
-    """Degree-n binary form, coefficients c_0..c_n in descending powers of X."""
+    """Degree-n binary form, coefficients c_0..c_n in descending powers of X.
+
+    Each coefficient is an int when integral and a Fraction otherwise; forms
+    built from 3, Fraction(3) or "6/2" compare and hash equal.
+    """
 
     coeffs: tuple
 
@@ -170,7 +183,7 @@ def _poly_mul(u, v):
 def transform(F, M):
     """Apply the variable change F^M(X, Z) = F(aX + bZ, cX + dZ); exact."""
     n = F.degree
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i, c in enumerate(F.coeffs):
         if not c:
             continue
@@ -198,7 +211,13 @@ def primitive_integral_coeffs(F):
 
 
 def normalized_height(F):
-    """Height of the primitive integral multiple of F; used in reports."""
+    """Height of the primitive integral multiple of F; used in reports.
+
+    Returned as a Fraction with denominator 1 rather than an int:
+    compare_methods lets the Julia report share the centroid report's height
+    object when their matrices agree, and CPython's cached small ints would
+    make unshared heights look shared.
+    """
     return Fraction(max(abs(v) for v in primitive_integral_coeffs(F)))
 
 

@@ -32,6 +32,8 @@ log = logging.getLogger(__name__)
 
 REALNESS_THRESHOLD = 1e-8
 _CLUSTER_RADIUS = 1e-7
+# estimates this close (relative) are zoomed into as one cluster
+_ZOOM_GROUP_RADIUS = 0.02
 # the zoom centre is a multiple of 2^-_ZOOM_BITS
 _ZOOM_BITS = 24
 
@@ -73,28 +75,36 @@ def _aberth(coeffs, max_iter):
     radius = _root_magnitude_bound(coeffs)
     # fixed phase offset so the start is never conjugation-symmetric
     xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
+    # Horner for p and p' is written out (the operations of _horner, in its
+    # order): at these degrees a call per evaluation costs more than its loop
     for it in range(max_iter):
         moved = 0.0
         for i in range(n):
             xi = xs[i]
-            p = _horner(coeffs, xi)
-            dp = _horner(deriv, xi)
+            p = 0j
+            for c in coeffs:
+                p = p * xi + c
+            dp = 0j
+            for c in deriv:
+                dp = dp * xi + c
             if dp == 0:
                 xs[i] = xi + (1e-8 + 1e-8j) * (1.0 + abs(xi))
                 moved = math.inf
                 continue
             newton = p / dp
             s = 0j
-            for j in range(n):
-                if j != i:
-                    diff = xi - xs[j]
-                    if diff == 0:
-                        diff = (1e-12 + 1e-12j) * (1.0 + abs(xi))
-                    s += 1.0 / diff
+            for xj in xs[:i] + xs[i + 1:]:
+                try:
+                    s += 1.0 / (xi - xj)
+                except ZeroDivisionError:
+                    # coincident estimates: a tiny offset instead of the pole
+                    s += 1.0 / ((1e-12 + 1e-12j) * (1.0 + abs(xi)))
             denom = 1.0 - newton * s
             step = newton if denom == 0 else newton / denom
-            xs[i] = xi - step
-            moved = max(moved, abs(step) / (1.0 + abs(xs[i])))
+            xi = xs[i] = xi - step
+            rel = abs(step) / (1.0 + abs(xi))
+            if rel > moved:
+                moved = rel
         if moved <= 1e-14:
             log.debug("aberth converged in %d iterations", it + 1)
             break
@@ -102,13 +112,15 @@ def _aberth(coeffs, max_iter):
 
 
 def _newton_polish(coeffs, deriv, x, rounds=24):
-    best, best_p = x, abs(_horner(coeffs, x))
+    px = _horner(coeffs, x)
+    best, best_p = x, abs(px)
     for _ in range(rounds):
         dp = _horner(deriv, x)
         if dp == 0:
             break
-        x = x - _horner(coeffs, x) / dp
-        p = abs(_horner(coeffs, x))
+        x = x - px / dp
+        px = _horner(coeffs, x)
+        p = abs(px)
         if p < best_p:
             best, best_p = x, p
         if abs(best - x) <= 1e-15 * (1.0 + abs(x)) and p >= best_p:
@@ -116,10 +128,10 @@ def _newton_polish(coeffs, deriv, x, rounds=24):
     return best
 
 
-def _cluster(roots):
-    """Merge estimates within the clustering radius into (mean, multiplicity) groups."""
+def _groups(roots, radius):
+    """Group estimates transitively lying within `radius` (relative) of each other."""
     remaining = list(roots)
-    out = []
+    groups = []
     while remaining:
         seed = remaining.pop(0)
         members = [seed]
@@ -127,12 +139,12 @@ def _cluster(roots):
         while changed:
             changed = False
             for r in remaining[:]:
-                if any(abs(r - m) <= _CLUSTER_RADIUS * (1.0 + abs(m)) for m in members):
+                if any(abs(r - m) <= radius * (1.0 + abs(m)) for m in members):
                     members.append(r)
                     remaining.remove(r)
                     changed = True
-        out.append((sum(members) / len(members), len(members)))
-    return out
+        groups.append(members)
+    return groups
 
 
 def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
@@ -141,13 +153,15 @@ def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
     Iterates are kept only while |p| improves, so a mistaken multiplicity cannot
     push a good estimate away.
     """
-    best, best_p = x, abs(_horner(coeffs, x))
+    px = _horner(coeffs, x)
+    best, best_p = x, abs(px)
     for _ in range(rounds):
         dp = _horner(deriv, x)
         if dp == 0:
             break
-        x = x - multiplicity * _horner(coeffs, x) / dp
-        p = abs(_horner(coeffs, x))
+        x = x - multiplicity * px / dp
+        px = _horner(coeffs, x)
+        p = abs(px)
         if p >= best_p:
             break
         best, best_p = x, p
@@ -217,9 +231,11 @@ def _exact_newton_polish(poly, dpoly, x, multiplicity=1, rounds=3):
 
 
 def _refine(poly, dpoly, coeffs, deriv, estimates):
-    """Cluster raw estimates, then polish each cluster to full accuracy."""
+    """Merge estimates within the clustering radius to their mean, then polish
+    each cluster to full accuracy."""
     out = []
-    for value, mult in _cluster(estimates):
+    for members in _groups(estimates, _CLUSTER_RADIUS):
+        value, mult = sum(members) / len(members), len(members)
         if mult > 1:
             value = _multiple_root_polish(coeffs, deriv, value, mult)
         value = _exact_newton_polish(poly, dpoly, value, multiplicity=mult)
@@ -260,25 +276,6 @@ def _power_sum_defect(F, roots):
     scale1 = 1.0 + sum(abs(r) for r in roots)
     scale2 = 1.0 + sum(abs(r) ** 2 for r in roots)
     return max(abs(s1 - s1_true) / scale1, abs(s2 - s2_true) / scale2)
-
-
-def _coarse_groups(roots, radius=0.02):
-    """Group estimates lying within `radius` (relative) of each other."""
-    remaining = list(roots)
-    groups = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                if any(abs(r - m) <= radius * (1.0 + abs(m)) for m in members):
-                    members.append(r)
-                    remaining.remove(r)
-                    changed = True
-        groups.append(members)
-    return groups
 
 
 def _taylor_shift_scaled(poly, k, m):
@@ -359,7 +356,7 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     # clusters of nearby roots are exactly where double precision runs out;
     # zoom into each and keep the result when the integrity certificates improve
     quality = max(_conjugate_defect(xs), _power_sum_defect(F, xs))
-    for group in _coarse_groups(xs):
+    for group in _groups(xs, _ZOOM_GROUP_RADIUS):
         if len(group) < 2 or quality <= 1e-12:
             continue
         zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group, max_iter)

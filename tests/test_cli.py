@@ -4,12 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import formred
 from conftest import SEXTIC_COEFFS
 from formred.cli import main, sqrt_display
 from formred.hyperbolic import PointH2, in_fundamental_domain
 
 SEXTIC_ARG = ",".join(str(c) for c in SEXTIC_COEFFS)
+# a valid degree-8 form whose computed roots do not pair into conjugates
+# (the benchmark's exact-centroid corpus, seed 1, form 788)
+UNPAIRED_ARG = ("2125,-160100,5277455,-99412838,1170477910,-8820369328,"
+                "41544466652,-111821274136,131685104200")
+# `formred reduce` stdout recorded byte for byte: the worked sextic, a form with
+# rational coefficients (centroid and both methods) and the first three forms
+# of the benchmark's exact-centroid corpus, seed 1
+REDUCE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "reduce_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -57,6 +68,18 @@ class TestReduceCommand:
         code, _, err = run(capsys, "reduce", "--coeffs", "garbage!!")
         assert code == 1
         assert "error" in err
+
+    def test_unpaired_root_exit_code(self, capsys):
+        code, out, err = run(capsys, "reduce", "--coeffs", UNPAIRED_ARG)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: no conjugate partner")
+
+    @pytest.mark.parametrize("case", REDUCE_GOLDEN, ids=[c["name"] for c in REDUCE_GOLDEN])
+    def test_report_bytes(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
 
 
 class TestZeroCenterJulia:
@@ -134,6 +157,17 @@ class TestBatch:
         assert lines[1].startswith("demo,ok,6,43940,12740")
         assert lines[2].startswith("bad,real_root_detected")
         assert any(line.startswith("# records = 2") for line in lines)
+
+    def test_unpaired_root_is_one_record(self, capsys, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_text(f"demo,{SEXTIC_ARG}\nunpaired,{UNPAIRED_ARG}\n")
+        code, out, _ = run(capsys, "batch", "--input", str(path))
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [("demo", "ok"),
+                                                            ("unpaired", "unpaired_root")]
+        assert "conjugate partner" in records[1]["error"]
+        assert summary["records"] == 2 and summary["ok"] == 1 and summary["errors"] == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "--input", "/nonexistent/path.txt")

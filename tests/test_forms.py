@@ -172,3 +172,42 @@ class TestParseSerialize:
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(FormParseError):
             BinaryForm((0, 1, 1))
+
+
+class TestCoefficientTypes:
+    """Integral coefficients are stored as plain ints, the others as Fractions."""
+
+    def test_integral_values_are_ints(self):
+        F = BinaryForm((3, Fraction(6, 2), "6/2", True, Fraction(1, 2)))
+        assert [type(c) for c in F.coeffs] == [int, int, int, int, Fraction]
+        assert F.coeffs == (3, 3, 3, 1, Fraction(1, 2))
+
+    def test_numpy_integers_are_ints(self):
+        np = pytest.importorskip("numpy")
+        F = BinaryForm((np.int64(2), np.int32(-5), 7))
+        assert [type(c) for c in F.coeffs] == [int, int, int]
+
+    def test_parsed_forms_are_ints(self):
+        for F in (parse(",".join(map(str, SEXTIC_COEFFS))),
+                  parse("x^6-24*x^5+306*x^4-2308*x^3+10933*x^2-29068*x+43940")):
+            assert all(type(c) is int for c in F.coeffs)
+        assert [type(c) for c in parse("3/4*x^2+4/2").coeffs] == [Fraction, int, int]
+
+    def test_equal_and_hash_equal_either_way(self):
+        ints = BinaryForm(SEXTIC_COEFFS)
+        fractions = BinaryForm(tuple(Fraction(c) for c in SEXTIC_COEFFS))
+        strings = BinaryForm(tuple(f"{2 * c}/2" for c in SEXTIC_COEFFS))
+        assert ints == fractions == strings
+        assert hash(ints) == hash(fractions) == hash(strings)
+        assert len({ints, fractions, strings}) == 1
+
+    def test_transform_of_integral_form_is_integral(self):
+        rng = random.Random(61)
+        F = BinaryForm(SEXTIC_COEFFS)
+        for _ in range(10):
+            G = transform(F, random_unimodular(rng))
+            assert all(type(c) is int for c in G.coeffs)
+        half = transform(BinaryForm((Fraction(1, 2), 0, Fraction(1, 2))),
+                         UnimodularMatrix(1, 1, 0, 1))
+        assert [type(c) for c in half.coeffs] == [Fraction, int, int]
+        assert half.coeffs == (Fraction(1, 2), 1, 1)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEXTIC_COEFFS, SEXTIC_FACTORS, SEXTIC_PAIRS, random_integer_factor
+from conftest import (
+    SEXTIC_COEFFS,
+    SEXTIC_FACTORS,
+    SEXTIC_PAIRS,
+    random_integer_factor,
+    random_totally_complex_form,
+    random_unimodular,
+)
 from formred.errors import RealRootDetected, UnpairedRoot
 from formred.forms import (
     BinaryForm,
@@ -13,11 +21,15 @@ from formred.forms import (
     expand_quadratic_factors,
     from_quadratic_factors,
     height,
+    transform,
 )
 from formred.roots import (
+    _aberth,
     _dyadic,
     _exact_value,
     _IntegerPoly,
+    _newton_polish,
+    _root_magnitude_bound,
     _taylor_shift_scaled,
     complex_roots,
     pair_conjugates,
@@ -221,3 +233,112 @@ class TestExactEvaluation:
         want = fraction_taylor_shift_scaled(F.coeffs, Fraction(k, 2**24), Fraction(1, 2**m))
         assert shifted.den > 0
         assert [Fraction(c, shifted.den) for c in shifted.ints] == want
+
+
+def reference_horner(coeffs, x):
+    acc = 0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def reference_aberth(coeffs, max_iter):
+    """Reference: the Aberth sweep with one Horner call per evaluation and an
+    explicit zero test in the repulsion sum."""
+    n = len(coeffs) - 1
+    deriv = [coeffs[i] * (n - i) for i in range(n)]
+    radius = _root_magnitude_bound(coeffs)
+    xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
+    for it in range(max_iter):
+        moved = 0.0
+        for i in range(n):
+            xi = xs[i]
+            p = reference_horner(coeffs, xi)
+            dp = reference_horner(deriv, xi)
+            if dp == 0:
+                xs[i] = xi + (1e-8 + 1e-8j) * (1.0 + abs(xi))
+                moved = math.inf
+                continue
+            newton = p / dp
+            s = 0j
+            for j in range(n):
+                if j != i:
+                    diff = xi - xs[j]
+                    if diff == 0:
+                        diff = (1e-12 + 1e-12j) * (1.0 + abs(xi))
+                    s += 1.0 / diff
+            denom = 1.0 - newton * s
+            step = newton if denom == 0 else newton / denom
+            xs[i] = xi - step
+            moved = max(moved, abs(step) / (1.0 + abs(xs[i])))
+        if moved <= 1e-14:
+            break
+    return xs
+
+
+def reference_newton_polish(coeffs, deriv, x, rounds=24):
+    """Reference: Newton polish evaluating p afresh at the top of every round."""
+    best, best_p = x, abs(reference_horner(coeffs, x))
+    for _ in range(rounds):
+        dp = reference_horner(deriv, x)
+        if dp == 0:
+            break
+        x = x - reference_horner(coeffs, x) / dp
+        p = abs(reference_horner(coeffs, x))
+        if p < best_p:
+            best, best_p = x, p
+        if abs(best - x) <= 1e-15 * (1.0 + abs(x)) and p >= best_p:
+            break
+    return best
+
+
+def exact_bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def float_coeffs(F):
+    return [float(c) for c in F.coeffs]
+
+
+integral_forms = st.integers(2, 20).flatmap(
+    lambda n: st.tuples(st.integers(-HEIGHT, HEIGHT).filter(bool),
+                        st.lists(st.integers(-HEIGHT, HEIGHT), min_size=n, max_size=n))
+).map(lambda lead_rest: BinaryForm((lead_rest[0], *lead_rest[1])))
+
+
+class TestAberthSweep:
+    """The written-out sweep, and the polish that reuses p(x), repeat the
+    reference's float operations exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(integral_forms, forms), st.integers(1, 200))
+    def test_matches_reference_bit_for_bit(self, F, max_iter):
+        coeffs = float_coeffs(F)
+        assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+            reference_aberth(coeffs, max_iter))
+
+    def test_seeded_forms_match_reference(self):
+        rng = random.Random(62)
+        cases = [BinaryForm(SEXTIC_COEFFS),
+                 BinaryForm((1, -2, 2, -2, 1)),  # (X - Z)^2 (X^2 + Z^2)
+                 BinaryForm((1, 0, 4, 0, 6, 0, 4, 0, 1)),  # (X^2 + Z^2)^4
+                 BinaryForm((Fraction(3, 7), Fraction(-1, 2), 5, Fraction(2, 9)))]
+        for degree in range(2, 21, 2):
+            F, _ = random_totally_complex_form(rng, degree, coeff_bound=10**12)
+            cases.append(transform(F, random_unimodular(rng, bound=20)))
+        for F in cases:
+            coeffs = float_coeffs(F)
+            xs = _aberth(coeffs, 200)
+            assert exact_bits(xs) == exact_bits(reference_aberth(coeffs, 200))
+            n = F.degree
+            deriv = [coeffs[i] * (n - i) for i in range(n)]
+            assert exact_bits([_newton_polish(coeffs, deriv, x) for x in xs]) == exact_bits(
+                [reference_newton_polish(coeffs, deriv, x) for x in xs])
+
+    def test_zero_difference_is_the_only_division_error(self):
+        # the sweep catches ZeroDivisionError where the reference tests diff == 0
+        for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            with pytest.raises(ZeroDivisionError):
+                1.0 / zero
+        for tiny in (complex(5e-324, 0.0), complex(-0.0, 5e-324), complex(math.nan, 0.0)):
+            assert isinstance(1.0 / tiny, complex)
