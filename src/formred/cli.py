@@ -8,6 +8,7 @@ stderr.
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -25,13 +26,14 @@ from .errors import (
 from .forms import parse, serialize
 from .hyperbolic import dist_h2, in_fundamental_domain, reduce_point_to_fundamental_domain
 from .reduce import (
+    METHODS,
     SCHEMA_VERSION,
     compare_methods,
     format_decimal,
     reduce_form,
     zero_point,
 )
-from .roots import complex_roots, pair_conjugates
+from .roots import complex_roots, pair_conjugates, root_set
 
 log = logging.getLogger(__name__)
 
@@ -141,16 +143,23 @@ def _print_report_text(report, digits):
     print(f"height          {report.height_before} -> {report.height_after}")
 
 
-def cmd_zero(args):
+def _zero_points(args):
+    """{method: (zero point, diagnostics)} for the requested method(s) of
+    args.coeffs, all from one root solve."""
     F = parse(args.coeffs)
-    methods = ("centroid", "julia") if args.method == "both" else (args.method,)
-    results = {m: zero_point(F, method=m, tol=args.tol) for m in methods}
+    rs = root_set(F, tol=args.tol)
+    methods = METHODS if args.method == "both" else (args.method,)
+    return {m: zero_point(F, method=m, tol=args.tol, rootset=rs) for m in methods}
+
+
+def cmd_zero(args):
+    results = _zero_points(args)
     if args.format != "text":
         payload = {"schema_version": SCHEMA_VERSION, "zeros": {}}
         for m, (zp, diag) in results.items():
             payload["zeros"][m] = zp.to_dict()
             payload["zeros"][m]["diagnostics"] = diag
-        if len(methods) == 2:
+        if len(results) == 2:
             payload["zero_gap"] = format_decimal(
                 dist_h2(results["centroid"][0].point, results["julia"][0].point))
         _emit(args, payload)
@@ -162,41 +171,28 @@ def cmd_zero(args):
         if m == "julia":
             line += f", gradient_norm = {diag['gradient_norm']:.3e}"
         print(line)
-    if len(methods) == 2:
+    if len(results) == 2:
         gap = dist_h2(results["centroid"][0].point, results["julia"][0].point)
         print(f"zero_gap = {format_decimal(gap, args.precision)}")
     return 0
 
 
-def cmd_center(args):
-    F = parse(args.coeffs)
-    zp, diag = zero_point(F, method="centroid", tol=args.tol)
+def cmd_zero_map(args):
+    """`center` and `julia`: one zero map and whether it lies in the fundamental domain."""
+    [(method, (zp, diag))] = _zero_points(args).items()
+    inside = in_fundamental_domain(zp.point)
     if args.format != "text":
-        payload = {"schema_version": SCHEMA_VERSION, "center": zp.to_dict(),
-                   "diagnostics": diag,
-                   "in_fundamental_domain": in_fundamental_domain(zp.point)}
-        _emit(args, payload)
+        key = "center" if method == "centroid" else "julia"
+        _emit(args, {"schema_version": SCHEMA_VERSION, key: zp.to_dict(),
+                     "diagnostics": diag, "in_fundamental_domain": inside})
         return 0
     if zp.t_exact is not None:
         print(f"t = {zp.t_exact}, u = {sqrt_display(zp.u_sq_exact)}")
     print(_point_text(zp, args.precision))
-    print(f"in_fundamental_domain = {str(in_fundamental_domain(zp.point)).lower()}")
-    return 0
-
-
-def cmd_julia(args):
-    F = parse(args.coeffs)
-    zp, diag = zero_point(F, method="julia", tol=args.tol)
-    if args.format != "text":
-        payload = {"schema_version": SCHEMA_VERSION, "julia": zp.to_dict(),
-                   "diagnostics": diag,
-                   "in_fundamental_domain": in_fundamental_domain(zp.point)}
-        _emit(args, payload)
-        return 0
-    print(_point_text(zp, args.precision))
-    print(f"gradient_norm = {diag['gradient_norm']:.3e}, iterations = {diag['iterations']}, "
-          f"objective = {format_decimal(diag['objective'], args.precision)}")
-    print(f"in_fundamental_domain = {str(in_fundamental_domain(zp.point)).lower()}")
+    if method == "julia":
+        print(f"gradient_norm = {diag['gradient_norm']:.3e}, iterations = {diag['iterations']}, "
+              f"objective = {format_decimal(diag['objective'], args.precision)}")
+    print(f"in_fundamental_domain = {str(inside).lower()}")
     return 0
 
 
@@ -359,12 +355,12 @@ def build_parser():
     p = sub.add_parser("center", help="hyperbolic center-of-mass zero map")
     p.add_argument("--coeffs", required=True)
     add_common(p, default_method="centroid", methods=("centroid",), default_format="text")
-    p.set_defaults(func=cmd_center)
+    p.set_defaults(func=cmd_zero_map)
 
     p = sub.add_parser("julia", help="distance-sum (Julia) zero map")
     p.add_argument("--coeffs", required=True)
     add_common(p, default_method="julia", methods=("julia",), default_format="text")
-    p.set_defaults(func=cmd_julia)
+    p.set_defaults(func=cmd_zero_map)
 
     p = sub.add_parser("batch", help="reduce forms listed one per line: id,c0,c1,...")
     p.add_argument("--input", required=True, help="input file, or - for stdin")
@@ -380,11 +376,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), run by the first main() call and shared by every later
+    one: parse_args leaves the parser unchanged and returns a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv=None):
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -211,14 +211,8 @@ def primitive_integral_coeffs(F):
 
 
 def normalized_height(F):
-    """Height of the primitive integral multiple of F; used in reports.
-
-    Returned as a Fraction with denominator 1 rather than an int:
-    compare_methods lets the Julia report share the centroid report's height
-    object when their matrices agree, and CPython's cached small ints would
-    make unshared heights look shared.
-    """
-    return Fraction(max(abs(v) for v in primitive_integral_coeffs(F)))
+    """Height of the primitive integral multiple of F, as an int; used in reports."""
+    return max(abs(v) for v in primitive_integral_coeffs(F))
 
 
 def expand_quadratic_factors(factors, leading=1):

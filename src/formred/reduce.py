@@ -79,8 +79,8 @@ class ReductionReport:
     zero_point: ZeroPoint
     matrix: UnimodularMatrix
     reduced: BinaryForm
-    height_before: Fraction
-    height_after: Fraction
+    height_before: int
+    height_after: int
     reduced_point: ZeroPoint
     diagnostics: dict
 

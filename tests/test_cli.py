@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import formred
+import formred.cli
+import formred.roots
 from conftest import SEXTIC_COEFFS
 from formred.cli import main, sqrt_display
 from formred.hyperbolic import PointH2, in_fundamental_domain
@@ -21,6 +23,10 @@ UNPAIRED_ARG = ("2125,-160100,5277455,-99412838,1170477910,-8820369328,"
 # of the benchmark's exact-centroid corpus, seed 1
 REDUCE_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "reduce_golden.json").read_text())
+# `formred zero`, `center` and `julia` stdout, text and JSON, recorded byte for
+# byte on the worked sextic and the rational-coefficient sextic above
+ZERO_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "zero_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -81,6 +87,12 @@ class TestReduceCommand:
         assert code == 0
         assert out == case["stdout"]
 
+    @pytest.mark.parametrize("case", REDUCE_GOLDEN, ids=[c["name"] for c in REDUCE_GOLDEN])
+    def test_report_bytes_on_repeated_calls(self, capsys, case):
+        formred.cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
 
 class TestZeroCenterJulia:
     def test_zero_both_methods(self, capsys):
@@ -106,6 +118,24 @@ class TestZeroCenterJulia:
         code, out, _ = run(capsys, "julia", "--coeffs", SEXTIC_ARG)
         assert code == 0
         assert "gradient_norm" in out
+
+    @pytest.mark.parametrize("case", ZERO_GOLDEN, ids=[c["name"] for c in ZERO_GOLDEN])
+    def test_output_bytes(self, capsys, case):
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_zero_solves_roots_once(self, capsys, monkeypatch, fmt):
+        calls, complex_roots = [], formred.roots.complex_roots
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return complex_roots(*args, **kwargs)
+
+        monkeypatch.setattr(formred.roots, "complex_roots", counting)
+        code, out, _ = run(capsys, "zero", "--coeffs", SEXTIC_ARG, "--method", "both",
+                           "--format", fmt)
+        assert code == 0 and "julia" in out
+        assert len(calls) == 1
 
 
 class TestBatch:
@@ -199,6 +229,48 @@ class TestGeodata:
         path = payload["reduction"]["path"]
         assert len(path) >= 2
         assert in_fundamental_domain(PointH2(*path[-1]))
+
+
+class TestParserReuse:
+    # one process running several commands, a usage error, --help and a failure
+    SEQUENCE = (
+        ("reduce", "--coeffs", SEXTIC_ARG, "--method", "both"),
+        ("zero", "--coeffs", SEXTIC_ARG),
+        ("reduce", "--coeffs", "1,0,1", "--method", "nope"),
+        ("--help",),
+        ("reduce", "--coeffs", UNPAIRED_ARG),
+        ("reduce", "--coeffs", SEXTIC_ARG, "--format", "text"),
+    )
+
+    def test_in_process_calls_match_fresh_interpreters(self, capsys, monkeypatch):
+        src = str(Path(formred.__file__).resolve().parent.parent)
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("FORMRED_LOG", None)
+        monkeypatch.delenv("FORMRED_LOG", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in self.SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from formred.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], env=env, capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 3, 0]
+        assert [run(capsys, *argv) for argv in self.SEQUENCE] == fresh
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built, build_parser = [], formred.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(formred.cli, "build_parser", counting)
+        formred.cli._parser.cache_clear()
+        for argv in self.SEQUENCE * 2:
+            run(capsys, *argv)
+        assert len(built) == 1
 
 
 def test_sqrt_display():
