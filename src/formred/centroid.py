@@ -14,7 +14,8 @@ d_j = sqrt(4 b_j - a_j^2) the same point is
 
 psi is computed as (sum x_j/y_j)/(sum 1/y_j); the literal product form
 appears only in alt_center_presentation.  All formulas stay in exact rational
-arithmetic whenever their inputs are rational.
+arithmetic whenever their inputs are rational; for rational factor data the
+sums behind psi(a, d) and psi(b, d) run on integers.
 
 On the hyperboloid model the center of mass is simply the Minkowski-normalized
 sum of the points, and transfers to the H2 formulas through the isometry.
@@ -103,21 +104,26 @@ def center_from_quadratic_factors_exact(factors):
     """(t, u^2) as exact rationals, or None when the factor data is irrational.
 
     Needs every factor exact and every d_j = sqrt(4 b_j - a_j^2) rational.
+    With S0, S1, S2 the sums of 1/d_j, a_j/d_j, b_j/d_j, the point is
+    t = -S1 / (2 S0) and u^2 = (4 S2 S0 - S1^2) / (4 S0^2); the sums are kept
+    as integer numerators over one common denominator, which cancels.
     """
     if not all(f.is_exact for f in factors):
         return None
-    ds = []
+    s0 = s1 = s2 = 0
+    den = 1
     for f in factors:
-        d = exact_sqrt(f.d_squared)
-        if d is None:
+        # with D the lcm of the denominators, A = a D and B = b D are integers,
+        # d = m / D where m^2 = 4 B D - A^2, and 1/d, a/d, b/d = D/m, A/m, B/m
+        D = math.lcm(f.a.denominator, f.b.denominator)
+        A = f.a.numerator * (D // f.a.denominator)
+        B = f.b.numerator * (D // f.b.denominator)
+        m_sq = 4 * B * D - A * A
+        m = math.isqrt(m_sq)
+        if m * m != m_sq:
             return None
-        ds.append(d)
-    a = [f.a for f in factors]
-    b = [f.b for f in factors]
-    psi_ad = psi(a, ds)
-    t = -psi_ad / 2
-    u_sq = psi(b, ds) - psi_ad * psi_ad / 4
-    return t, u_sq
+        s0, s1, s2, den = s0 * m + D * den, s1 * m + A * den, s2 * m + B * den, den * m
+    return Fraction(-s1, 2 * s0), Fraction(4 * s2 * s0 - s1 * s1, 4 * s0 * s0)
 
 
 def center_from_quadratic_factors(factors):

@@ -6,7 +6,6 @@ into conjugates).  Set FORMRED_LOG=DEBUG (or INFO, ...) for diagnostics on
 stderr.
 """
 
-import argparse
 import contextlib
 import functools
 import json
@@ -33,7 +32,7 @@ from .reduce import (
     reduce_form,
     zero_point,
 )
-from .roots import complex_roots, pair_conjugates, root_set
+from .roots import certified_roots, root_set
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +53,6 @@ def _classify(exc):
         if isinstance(exc, cls):
             return status, code
     return "reduction_error", 1
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _configure_logging():
@@ -302,8 +294,7 @@ def _summarize(records, primary_method):
 
 def cmd_geodata(args):
     F = parse(args.coeffs)
-    roots = complex_roots(F, tol=args.tol)
-    rs = pair_conjugates(roots, form=F)
+    roots, rs = certified_roots(F, tol=args.tol)
     method = "centroid" if args.method == "both" else args.method
     zc, _ = zero_point(F, method="centroid", tol=args.tol, rootset=rs)
     zj, _ = zero_point(F, method="julia", tol=args.tol, rootset=rs)
@@ -328,6 +319,16 @@ def cmd_geodata(args):
 
 
 def build_parser():
+    # argparse is imported here, not at module level: importing formred.cli
+    # should not pay for it
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default; the contract here is exit 1
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="formred",
                      description="Reduce totally complex real binary forms "
                                  "via hyperbolic zero maps.")

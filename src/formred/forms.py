@@ -166,11 +166,6 @@ def evaluate(F, x, z):
     return total
 
 
-def _binomial_power(p, q, m):
-    """Coefficients of (p*X + q*Z)^m in descending powers of X."""
-    return [math.comb(m, k) * p ** (m - k) * q**k for k in range(m + 1)]
-
-
 def _poly_mul(u, v):
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
@@ -181,15 +176,20 @@ def _poly_mul(u, v):
 
 
 def transform(F, M):
-    """Apply the variable change F^M(X, Z) = F(aX + bZ, cX + dZ); exact."""
-    n = F.degree
-    out = [0] * (n + 1)
-    for i, c in enumerate(F.coeffs):
-        if not c:
-            continue
-        term = _poly_mul(_binomial_power(M.a, M.b, n - i), _binomial_power(M.c, M.d, i))
-        for k, t in enumerate(term):
-            out[k] += c * t
+    """Apply the variable change F^M(X, Z) = F(aX + bZ, cX + dZ); exact.
+
+    Homogeneous Horner, out = out * (aX + bZ) + c_i (cX + dZ)^i with the power
+    carried along: O(n^2) products.
+    """
+    a, b, c, d = M.a, M.b, M.c, M.d
+    out = [F.coeffs[0]]
+    power = [1]
+    for ci in F.coeffs[1:]:
+        # times a linear form pX + qZ: new[k] = p * old[k] + q * old[k - 1]
+        out = [a * u + b * v for u, v in zip(out + [0], [0] + out)]
+        power = [c * u + d * v for u, v in zip(power + [0], [0] + power)]
+        if ci:
+            out = [u + ci * w for u, w in zip(out, power)]
     return BinaryForm(tuple(out))
 
 

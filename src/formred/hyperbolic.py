@@ -266,26 +266,35 @@ def reduce_point_exact(t, u_sq, max_iter=64):
 
     Returns (t', u_sq', M) with every comparison done in exact arithmetic, so
     boundary ties (Re = 1/2, |z| = 1) are resolved canonically and the reduced
-    coordinates stay rational.
+    coordinates stay rational.  t = p/q and u^2 = r/s are carried as reduced
+    integer pairs with q, s > 0, and every comparison is a cross-multiplication.
     """
     t = Fraction(t)
     u2 = Fraction(u_sq)
     if u2 <= 0:
         raise ValueError("u_sq must be positive")
-    half = Fraction(1, 2)
+    p, q = t.numerator, t.denominator
+    r, s = u2.numerator, u2.denominator
     M = UnimodularMatrix.identity()
     for _ in range(max_iter):
-        n = math.ceil(t - half)
+        n = (2 * p + q - 1) // (2 * q)  # ceil(t - 1/2)
         if n:
-            t -= n
+            p -= n * q
             M = M @ UnimodularMatrix.translation(n)
-        r2 = t * t + u2
-        if r2 < 1:
-            t, u2 = -t / r2, u2 / (r2 * r2)
+        # t^2 + u^2 = N / (q^2 s)
+        qq_s = q * q * s
+        N = p * p * s + r * q * q
+        if N < qq_s:
+            # t, u^2 -> -t / |z|^2, u^2 / |z|^4
+            p, q, r, s = -p * q * s, N, r * qq_s * q * q, N * N
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            g = math.gcd(r, s)
+            r, s = r // g, s // g
             M = M @ UnimodularMatrix.inversion()
             continue
-        if r2 == 1 and t < 0:
-            t = -t
+        if N == qq_s and p < 0:
+            p = -p
             M = M @ UnimodularMatrix.inversion()
-        return t, u2, M
+        return Fraction(p, q), Fraction(r, s), M
     raise ConvergenceFailure("fundamental-domain reduction did not terminate")

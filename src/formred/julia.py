@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
 from .hyperbolic import PointH2, PointH3
-from .paramspace import HermitianForm, inv_zero_quadratic
 from .roots import RootSet, root_set
 
 log = logging.getLogger(__name__)
@@ -76,6 +75,8 @@ def q_f(weights, roots):
     distinct points; with all mass on one root it degenerates to that boundary
     form (and the zero map downstream rejects it).
     """
+    from .paramspace import HermitianForm  # only this and julia_quadratic need it
+
     t = _weight_values(weights)
     roots = [complex(r) for r in roots]
     if len(t) != len(roots):
@@ -322,6 +323,8 @@ def julia_quadratic(F, tol=DEFAULT_TOL):
     Determined up to a positive factor, which is all reduction needs; real
     forms only (real roots are rejected by the pairing step).
     """
+    from .paramspace import inv_zero_quadratic
+
     rs = root_set(F)
     result = julia_zero_real(rs, tol=tol)
     return inv_zero_quadratic(result.point)

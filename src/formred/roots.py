@@ -5,7 +5,9 @@ deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
 offset), then polished root-by-root with Newton steps.  Estimates closer than
 the clustering radius are merged to their mean, which recovers accuracy for
 multiple roots.  Forms with a numerically real root are rejected loudly: the
-downstream center-of-mass formulas divide by the imaginary parts.
+downstream center-of-mass formulas divide by the imaginary parts.  When the
+roots of a form with a repeated factor fail to certify or to pair, the form is
+split exactly into its square-free parts (Yun), and each part is solved alone.
 
 Certification and the final Newton steps evaluate the form exactly at each
 float iterate.  A float is dyadic, so with the form's denominators cleared once
@@ -20,12 +22,12 @@ runs on ints too.
 import cmath
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
-from .forms import RealQuadraticFactor, expand_quadratic_factors
+from .forms import BinaryForm, RealQuadraticFactor, _poly_mul
 from .hyperbolic import PointH2
 
 log = logging.getLogger(__name__)
@@ -168,11 +170,10 @@ def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
     return best
 
 
-class _IntegerPoly(NamedTuple):
+class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
     """A polynomial as integer coefficients (descending) over one positive denominator."""
 
-    ints: list
-    den: int
+    __slots__ = ()
 
     @classmethod
     def of_form(cls, F):
@@ -365,15 +366,21 @@ def complex_roots(F, tol=1e-10, max_iter=200):
         new_quality = max(_conjugate_defect(zoomed), _power_sum_defect(F, zoomed))
         if new_quality < quality:
             xs, quality = zoomed, new_quality
-    if _power_sum_defect(F, xs) > 1e-8:
-        raise ConvergenceFailure(
-            f"root multiset fails the power-sum certificate ({_power_sum_defect(F, xs):.3e})")
-    for r in xs:
+    _certify(F, poly, xs, tol)
+    xs.sort(key=lambda r: (r.real, r.imag))
+    return xs
+
+
+def _certify(F, poly, roots, tol):
+    """Raise ConvergenceFailure unless the roots pass the power-sum and the
+    exact-residual certificates of F (poly: F as an _IntegerPoly)."""
+    defect = _power_sum_defect(F, roots)
+    if defect > 1e-8:
+        raise ConvergenceFailure(f"root multiset fails the power-sum certificate ({defect:.3e})")
+    for r in roots:
         rel = _exact_residual(poly, r)
         if not rel <= tol:
             raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
-    xs.sort(key=lambda r: (r.real, r.imag))
-    return xs
 
 
 def pair_conjugates(roots, tol=1e-8, form=None):
@@ -409,14 +416,153 @@ def pair_conjugates(roots, tol=1e-8, form=None):
     return RootSet(tuple(pairs), residual)
 
 
+def _poly_derivative(p):
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _poly_divmod(u, v):
+    """Quotient and remainder of u by v (descending Fraction lists; [] is zero)."""
+    u = list(u)
+    q = []
+    for k in range(len(u) - len(v) + 1):
+        f = u[k] / v[0]
+        q.append(f)
+        if f:
+            for j in range(1, len(v)):
+                u[k + j] -= f * v[j]
+    r = u[len(q):]
+    while r and not r[0]:
+        r.pop(0)
+    return q, r
+
+
+def _monic_gcd(u, v):
+    while v:
+        u, v = v, _poly_divmod(u, v)[1]
+    return [c / u[0] for c in u]
+
+
+def _poly_sub(u, v):
+    """u - v for descending lists of possibly different lengths, leading zeros dropped."""
+    n = max(len(u), len(v))
+    out = [a - b for a, b in zip([0] * (n - len(u)) + u, [0] * (n - len(v)) + v)]
+    while out and not out[0]:
+        out.pop(0)
+    return out
+
+
+# the modular square-free test's prime; one that divides the leading
+# coefficient leaves the test inconclusive
+_PRIME = 2**61 - 1
+
+
+def _square_free_mod_prime(ints):
+    """True when gcd(f, f') = 1 modulo _PRIME, which proves the integer
+    polynomial f square-free over the rationals: the prime does not divide the
+    leading coefficient, so a square factor of f would survive the reduction.
+    False is inconclusive."""
+    p = _PRIME
+    n = len(ints) - 1
+    if ints[0] % p == 0:
+        return False
+    u = [c % p for c in ints]
+    v = [c * (n - i) % p for i, c in enumerate(ints[:-1])]
+    while v and v[0] == 0:
+        v.pop(0)
+    while v:
+        inv = pow(v[0], -1, p)
+        for k in range(len(u) - len(v) + 1):
+            f = u[k] * inv % p
+            if f:
+                for j in range(1, len(v)):
+                    u[k + j] = (u[k + j] - f * v[j]) % p
+        r = u[len(u) - len(v) + 1:]
+        while r and r[0] == 0:
+            r.pop(0)
+        u, v = v, r
+    return len(u) == 1
+
+
+def square_free_parts(F):
+    """Yun's exact square-free decomposition of F(X, 1) over the rationals.
+
+    Returns [(P, i), ...] with F(X, 1) = c_0 * prod P^i, each P a monic
+    square-free polynomial of positive degree (descending Fraction
+    coefficients) and the P pairwise coprime; a square-free F gives
+    [(F / c_0, 1)].  D. Y. Y. Yun, SYMSAC '76.  A form shown square-free
+    modulo a prime skips the gcds over the rationals.
+    """
+    f = [Fraction(c, F.coeffs[0]) for c in F.coeffs]
+    if _square_free_mod_prime(_IntegerPoly.of_form(F).ints):
+        return [(f, 1)]
+    df = _poly_derivative(f)
+    g = _monic_gcd(f, df)
+    b, c = _poly_divmod(f, g)[0], _poly_divmod(df, g)[0]
+    d = _poly_sub(c, _poly_derivative(b))
+    parts = []
+    i = 1
+    while len(b) > 1:
+        a = _monic_gcd(b, d)
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        d = _poly_sub(c, _poly_derivative(b))
+        if len(a) > 1:
+            parts.append((a, i))
+        i += 1
+    return parts
+
+
+def _solve(F, tol):
+    roots = complex_roots(F, tol=tol)
+    return roots, pair_conjugates(roots, form=F)
+
+
+def certified_roots(F, tol=1e-10):
+    """(roots, RootSet) of F: its n roots, sorted as complex_roots sorts them,
+    and their conjugate pairs in the upper half-plane.
+
+    When the direct solve fails to certify or to pair and F has a repeated
+    factor, F is split exactly into square-free parts P_i of multiplicity i;
+    each part is solved on its own, its roots and pairs repeated i times, and
+    the power-sum and exact-residual certificates are checked on F itself.
+    A square-free F re-raises the direct solve's error; a linear part is a
+    real root.
+    """
+    try:
+        return _solve(F, tol)
+    except (ConvergenceFailure, UnpairedRoot):
+        parts = square_free_parts(F)
+        if len(parts) == 1 and parts[0][1] == 1:
+            raise
+    log.debug("square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+    roots, pairs = [], []
+    for P, i in parts:
+        if len(P) == 2:
+            raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
+        part_roots, part_pairs = _solve(BinaryForm(tuple(P)), tol)
+        roots += part_roots * i
+        pairs += part_pairs.pairs * i
+    _certify(F, _IntegerPoly.of_form(F), roots, tol)
+    roots.sort(key=lambda r: (r.real, r.imag))
+    pairs.sort(key=lambda p: (p.x, p.y))
+    coeffs = [float(c) for c in F.coeffs]
+    return roots, RootSet(pairs, max(abs(_horner(coeffs, r)) for r in roots))
+
+
 def root_set(F, tol=1e-10):
-    """Roots of F paired into the upper half-plane (raises on real roots)."""
-    return pair_conjugates(complex_roots(F, tol=tol), form=F)
+    """Roots of F paired into the upper half-plane (raises on real roots);
+    see certified_roots for the square-free split of forms with repeated factors."""
+    return certified_roots(F, tol=tol)[1]
 
 
 def _rationalize(F, factors, max_denominator=10**6):
     """Round float factors to nearby rationals; keep them only if the product
-    reproduces F exactly."""
+    reproduces F exactly.
+
+    With F = ints / den and D_j the lcm of the denominators of a_j and b_j, the
+    test is the integer identity
+    ints[0] * prod(D_j X^2 + a_j D_j XZ + b_j D_j Z^2) == ints * prod(D_j).
+    """
     candidates = []
     for f in factors:
         try:
@@ -426,9 +572,15 @@ def _rationalize(F, factors, max_denominator=10**6):
             ))
         except (RealRootDetected, ValueError):
             return None
-    product = expand_quadratic_factors(candidates)
-    c0 = F.coeffs[0]
-    if all(c0 * p == c for p, c in zip(product, F.coeffs)):
+    ints = _IntegerPoly.of_form(F).ints
+    product, scale = [ints[0]], 1
+    for f in candidates:
+        a, b = f.a, f.b
+        D = math.lcm(a.denominator, b.denominator)
+        product = _poly_mul(product, [D, a.numerator * (D // a.denominator),
+                                      b.numerator * (D // b.denominator)])
+        scale *= D
+    if product == [c * scale for c in ints]:
         return candidates
     return None
 

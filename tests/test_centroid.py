@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     SEXTIC_FACTORS,
@@ -181,6 +181,53 @@ class TestFactorFormulas:
         c = center_from_quadratic_factors(factors)
         assert c.x == pytest.approx(-0.5, abs=1e-14)
         assert c.y == pytest.approx(math.sqrt(3) / 2, rel=1e-14)
+
+
+def reference_center_exact(factors):
+    """Reference: the exact centroid through psi on Fractions,
+    t = -psi(a, d)/2 and u^2 = psi(b, d) - psi(a, d)^2/4."""
+    if not all(f.is_exact for f in factors):
+        return None
+    ds = [exact_sqrt(f.d_squared) for f in factors]
+    if None in ds:
+        return None
+    psi_ad = psi([f.a for f in factors], ds)
+    return -psi_ad / 2, psi([f.b for f in factors], ds) - psi_ad * psi_ad / 4
+
+
+small_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4))
+# a factor with rational d: b = (a^2 + d^2) / 4
+square_factors = st.builds(lambda a, d: RealQuadraticFactor(a, (a * a + d * d) / 4),
+                           small_rationals, positive_rationals)
+# b drawn freely: d is rational only by chance
+free_factors = st.builds(lambda a, e: RealQuadraticFactor(a, a * a / 4 + e),
+                         small_rationals, positive_rationals)
+
+
+class TestExactCenterIntegers:
+    """The integer sums give exactly the psi-on-Fractions point, and decline
+    exactly when it does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(square_factors, min_size=1, max_size=10))
+    def test_rational_d_matches_reference(self, factors):
+        exact = center_from_quadratic_factors_exact(factors)
+        assert exact is not None
+        assert exact == reference_center_exact(factors)
+        assert all(type(v) is Fraction for v in exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(square_factors, free_factors), min_size=1, max_size=10))
+    def test_mixed_factors_match_reference(self, factors):
+        assert center_from_quadratic_factors_exact(factors) == reference_center_exact(factors)
+
+    def test_repeated_and_float_factors(self):
+        sextic = [RealQuadraticFactor(a, b) for a, b in SEXTIC_FACTORS]
+        for factors in (sextic * 3, sextic[:1] * 4, sextic + sextic[1:]):
+            assert center_from_quadratic_factors_exact(factors) == reference_center_exact(factors)
+        assert center_from_quadratic_factors_exact(
+            sextic + [RealQuadraticFactor(0.5, 1.0)]) is None
 
 
 class TestAltPresentation:

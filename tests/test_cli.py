@@ -8,16 +8,26 @@ import pytest
 
 import formred
 import formred.cli
+import formred.reduce
 import formred.roots
 from conftest import SEXTIC_COEFFS
 from formred.cli import main, sqrt_display
+from formred.errors import UnpairedRoot
 from formred.hyperbolic import PointH2, in_fundamental_domain
 
 SEXTIC_ARG = ",".join(str(c) for c in SEXTIC_COEFFS)
-# a valid degree-8 form whose computed roots do not pair into conjugates
-# (the benchmark's exact-centroid corpus, seed 1, form 788)
-UNPAIRED_ARG = ("2125,-160100,5277455,-99412838,1170477910,-8820369328,"
+# a valid degree-8 form with a repeated factor whose directly computed roots do
+# not pair into conjugates; the square-free split reduces it (the benchmark's
+# exact-centroid corpus, seed 1, form 788)
+REPEATED_ARG = ("2125,-160100,5277455,-99412838,1170477910,-8820369328,"
                 "41544466652,-111821274136,131685104200")
+# a square-free degree-10 form whose roots fail the power-sum certificate
+# (the benchmark's hard-scramble corpus, seed 1, form 108)
+UNCERTIFIED_ARG = ("12879481231461,1043370595706076,38035693887061687,821675477874391233,"
+                   "11648731601551736482,113240078743956461637,764467819307000782976,"
+                   "3538844379615929499156,10750608630599598972808,19353560352678605096256,"
+                   "15678381139877300729248")
+UNPAIRED_MESSAGE = "no conjugate partner for (9.4+0.2j) (closest at distance 1.805e-07)"
 # `formred reduce` stdout recorded byte for byte: the worked sextic, a form with
 # rational coefficients (centroid and both methods) and the first three forms
 # of the benchmark's exact-centroid corpus, seed 1
@@ -33,6 +43,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def unpaired_root_set(monkeypatch):
+    """Make root_set raise UnpairedRoot for the forms added to the returned set."""
+    unpaired, root_set = set(), formred.reduce.root_set
+
+    def fake(F, tol=1e-10):
+        if F in unpaired:
+            raise UnpairedRoot(UNPAIRED_MESSAGE)
+        return root_set(F, tol=tol)
+
+    monkeypatch.setattr(formred.reduce, "root_set", fake)
+    return unpaired
 
 
 class TestReduceCommand:
@@ -75,11 +99,39 @@ class TestReduceCommand:
         assert code == 1
         assert "error" in err
 
-    def test_unpaired_root_exit_code(self, capsys):
-        code, out, err = run(capsys, "reduce", "--coeffs", UNPAIRED_ARG)
+    def test_unpaired_root_exit_code(self, capsys, unpaired_root_set):
+        unpaired_root_set.add(formred.parse(SEXTIC_ARG))
+        code, out, err = run(capsys, "reduce", "--coeffs", SEXTIC_ARG)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: no conjugate partner")
+        assert err == f"error: {UNPAIRED_MESSAGE}\n"
+
+    def test_uncertified_roots_exit_code(self, capsys):
+        code, out, err = run(capsys, "reduce", "--coeffs", UNCERTIFIED_ARG)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: root multiset fails the power-sum certificate")
+
+    def test_repeated_factor_form_reduces(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--coeffs", REPEATED_ARG)
+        assert code == 0
+        report = json.loads(out)
+        assert report["matrix"] == [[-19, -9], [-2, -1]]
+        assert report["reduced"]["coefficients"] == ["1", "0", "7", "0", "15", "0", "13", "0", "4"]
+        assert report["zero_point"]["exact_t"] == "443/47"
+        assert report["zero_point"]["exact_u_sq"] == "70/2209"
+
+    @pytest.mark.parametrize("form", ["x^8+4*x^6+6*x^4+4*x^2+1",  # (X^2 + Z^2)^4
+                                      # (X^2 + Z^2)^3 (X^2 + XZ + Z^2)
+                                      "x^8+x^7+4*x^6+3*x^5+6*x^4+3*x^3+4*x^2+x+1"])
+    def test_power_of_a_factor_reduces_with_both_methods(self, capsys, form):
+        code, out, err = run(capsys, "reduce", "--coeffs", form, "--method", "both")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        for method in ("centroid", "julia"):
+            (a, b), (c, d) = payload[method]["matrix"]
+            reduced = formred.transform(formred.parse(form), formred.UnimodularMatrix(a, b, c, d))
+            assert [str(x) for x in reduced.coeffs] == payload[method]["reduced"]["coefficients"]
 
     @pytest.mark.parametrize("case", REDUCE_GOLDEN, ids=[c["name"] for c in REDUCE_GOLDEN])
     def test_report_bytes(self, capsys, case):
@@ -188,9 +240,10 @@ class TestBatch:
         assert lines[2].startswith("bad,real_root_detected")
         assert any(line.startswith("# records = 2") for line in lines)
 
-    def test_unpaired_root_is_one_record(self, capsys, tmp_path):
+    def test_unpaired_root_is_one_record(self, capsys, tmp_path, unpaired_root_set):
+        unpaired_root_set.add(formred.parse(REPEATED_ARG))
         path = tmp_path / "forms.txt"
-        path.write_text(f"demo,{SEXTIC_ARG}\nunpaired,{UNPAIRED_ARG}\n")
+        path.write_text(f"demo,{SEXTIC_ARG}\nunpaired,{REPEATED_ARG}\n")
         code, out, _ = run(capsys, "batch", "--input", str(path))
         assert code == 0
         *records, summary = [json.loads(line) for line in out.strip().splitlines()]
@@ -230,6 +283,14 @@ class TestGeodata:
         assert len(path) >= 2
         assert in_fundamental_domain(PointH2(*path[-1]))
 
+    def test_repeated_factor_form(self, capsys):
+        code, out, _ = run(capsys, "geodata", "--coeffs", REPEATED_ARG)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["roots"]) == 8 and len(payload["pairs"]) == 4
+        assert payload["zeros"]["centroid"]["exact_t"] == "443/47"
+        assert payload["reduction"]["matrix"] == [[-19, -9], [-2, -1]]
+
 
 class TestParserReuse:
     # one process running several commands, a usage error, --help and a failure
@@ -238,7 +299,7 @@ class TestParserReuse:
         ("zero", "--coeffs", SEXTIC_ARG),
         ("reduce", "--coeffs", "1,0,1", "--method", "nope"),
         ("--help",),
-        ("reduce", "--coeffs", UNPAIRED_ARG),
+        ("reduce", "--coeffs", UNCERTIFIED_ARG),
         ("reduce", "--coeffs", SEXTIC_ARG, "--format", "text"),
     )
 
@@ -309,3 +370,16 @@ print("numpy" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_only_what_a_command_runs():
+    # -S: an installation's site hooks may import typing on their own
+    code = ("import sys; import formred, formred.cli; "
+            "print(sorted({'argparse', 'typing', 'formred.paramspace'} & set(sys.modules)))")
+    src = str(Path(formred.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

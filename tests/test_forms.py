@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEXTIC_COEFFS, SEXTIC_FACTORS, SEXTIC_REDUCED, random_unimodular
 from formred.errors import FormParseError, RealRootDetected
@@ -92,6 +93,70 @@ class TestTransform:
             Q = BinaryForm((a, b, c))
             QM = transform(Q, random_unimodular(rng))
             assert disc(QM) == disc(Q)
+
+
+def reference_transform(F, M):
+    """Reference: sum over i of c_i (aX + bZ)^(n-i) (cX + dZ)^i, each product of
+    binomial expansions multiplied out term by term."""
+    def binomial_power(p, q, m):
+        return [math.comb(m, k) * p ** (m - k) * q**k for k in range(m + 1)]
+
+    n = F.degree
+    out = [0] * (n + 1)
+    for i, c in enumerate(F.coeffs):
+        if not c:
+            continue
+        u, v = binomial_power(M.a, M.b, n - i), binomial_power(M.c, M.d, i)
+        for j, uj in enumerate(u):
+            for k, vk in enumerate(v):
+                out[j + k] += c * uj * vk
+    return out
+
+
+def assert_transform_matches_reference(F, M):
+    expected = reference_transform(F, M)
+    if expected[0] == 0:  # F(a, c) = 0: not a form of the same degree
+        with pytest.raises(FormParseError):
+            transform(F, M)
+        return
+    G = transform(F, M)
+    assert G == BinaryForm(tuple(expected))
+    assert [type(c) for c in G.coeffs] == [type(c) for c in BinaryForm(tuple(expected)).coeffs]
+
+
+def word_matrix(steps):
+    """The product of T^n S over the given n, T^n the translation and S the inversion."""
+    M = UnimodularMatrix.identity()
+    for n in steps:
+        M = M @ UnimodularMatrix.translation(n) @ UnimodularMatrix.inversion()
+    return M
+
+
+rational_coeffs = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+any_forms = st.integers(2, 20).flatmap(
+    lambda n: st.lists(rational_coeffs, min_size=n + 1, max_size=n + 1)
+).filter(lambda cs: cs[0] != 0).map(lambda cs: BinaryForm(tuple(cs)))
+matrices = st.lists(st.integers(-30, 30), max_size=6).map(word_matrix)
+
+
+class TestTransformHorner:
+    """Homogeneous Horner gives exactly the form of the term-by-term expansion."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_forms, matrices)
+    def test_matches_reference(self, F, M):
+        assert_transform_matches_reference(F, M)
+
+    def test_seeded_matrices_and_zero_coefficients(self):
+        rng = random.Random(71)
+        for degree in range(2, 21):
+            coeffs = [rng.choice([0, 0, rng.randint(-99, 99), Fraction(rng.randint(-99, 99), 7)])
+                      for _ in range(degree)]
+            F = BinaryForm((rng.randint(1, 9), *coeffs))
+            for _ in range(5):
+                assert_transform_matches_reference(F, random_unimodular(rng, bound=50))
 
 
 class TestHeight:

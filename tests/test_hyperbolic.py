@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     SEXTIC_T,
@@ -253,6 +254,47 @@ class TestMinkowskiHyperboloid:
             HyperboloidPoint(0.0, 0.0, -1.0)
 
 
+def reference_reduce_point_exact(t, u_sq, max_iter=64):
+    """Reference: the exact Gauss reduction on Fractions."""
+    t, u2 = Fraction(t), Fraction(u_sq)
+    M = UnimodularMatrix.identity()
+    for _ in range(max_iter):
+        n = math.ceil(t - Fraction(1, 2))
+        if n:
+            t -= n
+            M = M @ UnimodularMatrix.translation(n)
+        r2 = t * t + u2
+        if r2 < 1:
+            t, u2 = -t / r2, u2 / (r2 * r2)
+            M = M @ UnimodularMatrix.inversion()
+            continue
+        if r2 == 1 and t < 0:
+            t = -t
+            M = M @ UnimodularMatrix.inversion()
+        return t, u2, M
+    raise AssertionError("reference reduction did not terminate")
+
+
+def assert_exact_reduction_matches_reference(t, u_sq):
+    got = reduce_point_exact(t, u_sq)
+    assert got == reference_reduce_point_exact(t, u_sq)
+    assert type(got[0]) is Fraction and type(got[1]) is Fraction
+
+
+exact_points = st.tuples(
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)))
+_unit_t = st.builds(Fraction, st.integers(-999, 999), st.just(1000))
+boundary_points = st.one_of(
+    # Re = +-1/2 above the unit circle, or the corners
+    st.tuples(st.sampled_from([Fraction(-1, 2), Fraction(1, 2)]),
+              st.builds(lambda k: Fraction(3, 4) + k, st.builds(Fraction, st.integers(0, 100),
+                                                                st.integers(1, 50)))),
+    # the unit circle: t rational, u^2 = 1 - t^2
+    _unit_t.map(lambda t: (t, 1 - t * t)),
+)
+
+
 class TestFundamentalDomainReduction:
     def test_already_reduced(self):
         z = PointH2(0.1, 2.0)
@@ -323,6 +365,23 @@ class TestFundamentalDomainReduction:
                 PointH2(float(t), math.sqrt(float(u_sq))))
             assert Me == Mf
             assert zf.x == pytest.approx(float(te), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_points)
+    def test_exact_matches_fraction_reference(self, point):
+        assert_exact_reduction_matches_reference(*point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_points, st.lists(st.integers(-30, 30), max_size=5))
+    def test_exact_boundary_ties_match_fraction_reference(self, point, steps):
+        # a point of the domain's boundary, moved away exactly: the reduction
+        # must end on the tie Re = +-1/2 or |z| = 1 again
+        t, u_sq = point
+        for n in steps:
+            t, u_sq = t + n, u_sq  # z + n, then -1/z
+            r2 = t * t + u_sq
+            t, u_sq = -t / r2, u_sq / (r2 * r2)
+        assert_exact_reduction_matches_reference(t, u_sq)
 
     def test_trace_records_path(self):
         path = []

@@ -6,15 +6,25 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    ACCEPTANCE_SEED,
     SEXTIC_REDUCED,
     SEXTIC_T,
     SEXTIC_U_SQ,
+    random_integer_factor,
     random_totally_complex_form,
     random_unimodular,
 )
-from formred.errors import FormParseError, RealRootDetected
-from formred.forms import BinaryForm, UnimodularMatrix, height, normalized_height, transform
+from formred.errors import FormParseError, FormReductionError, RealRootDetected
+from formred.forms import (
+    BinaryForm,
+    UnimodularMatrix,
+    from_quadratic_factors,
+    height,
+    normalized_height,
+    transform,
+)
 from formred.hyperbolic import in_fundamental_domain
+from formred.roots import complex_roots, pair_conjugates
 from formred.reduce import (
     compare_methods,
     format_decimal,
@@ -163,6 +173,31 @@ class TestScrambleRecover:
         for form, before, after in grew:
             print(f"height grew under reduction: {form} ({before} -> {after})")
         assert recovered >= 0.95 * total
+
+
+class TestRepeatedFactors:
+    def test_seeded_corpus_reduces(self):
+        # scrambled products of 1 to 3 distinct factors with multiplicities up
+        # to 4: every form reduces with both methods, about half of them only
+        # through the square-free split
+        rng = random.Random(ACCEPTANCE_SEED + 20)
+        rescued = 0
+        for _ in range(24):
+            distinct = [random_integer_factor(rng, 5, 10) for _ in range(rng.randint(1, 3))]
+            factors = [f for f in distinct for _ in range(rng.randint(1, 4))][:6]
+            if len(factors) == 1:
+                factors *= 2
+            F = transform(from_quadratic_factors(factors), random_unimodular(rng, bound=20))
+            try:
+                pair_conjugates(complex_roots(F))
+            except FormReductionError:
+                rescued += 1
+            comparison = compare_methods(F)
+            for rep in (comparison.centroid_report, comparison.julia_report):
+                assert reduced_zero_matches(rep)
+                assert rep.reduced == transform(F, rep.matrix)
+                assert rep.height_after == normalized_height(rep.reduced)
+        assert rescued >= 8
 
 
 class TestZeroPoint:

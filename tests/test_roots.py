@@ -14,7 +14,7 @@ from conftest import (
     random_totally_complex_form,
     random_unimodular,
 )
-from formred.errors import RealRootDetected, UnpairedRoot
+from formred.errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from formred.forms import (
     BinaryForm,
     RealQuadraticFactor,
@@ -23,18 +23,23 @@ from formred.forms import (
     height,
     transform,
 )
+import formred.roots
+from formred.hyperbolic import PointH2
 from formred.roots import (
     _aberth,
     _dyadic,
     _exact_value,
     _IntegerPoly,
     _newton_polish,
+    _rationalize,
     _root_magnitude_bound,
     _taylor_shift_scaled,
+    certified_roots,
     complex_roots,
     pair_conjugates,
     real_quadratic_factors,
     root_set,
+    square_free_parts,
 )
 
 
@@ -342,3 +347,163 @@ class TestAberthSweep:
                 1.0 / zero
         for tiny in (complex(5e-324, 0.0), complex(-0.0, 5e-324), complex(math.nan, 0.0)):
             assert isinstance(1.0 / tiny, complex)
+
+
+def reference_rationalize(F, factors, max_denominator=10**6):
+    """Reference: the rounded factors' Fraction product compared with F."""
+    candidates = []
+    for f in factors:
+        try:
+            candidates.append(RealQuadraticFactor(
+                Fraction(f.a).limit_denominator(max_denominator),
+                Fraction(f.b).limit_denominator(max_denominator)))
+        except (RealRootDetected, ValueError):
+            return None
+    product = expand_quadratic_factors(candidates)
+    if all(F.coeffs[0] * p == c for p, c in zip(product, F.coeffs)):
+        return candidates
+    return None
+
+
+small_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+exact_factors = st.builds(lambda a, e: RealQuadraticFactor(a, a * a / 4 + e), small_fractions,
+                          st.builds(Fraction, st.integers(1, 300), st.integers(1, 40)))
+
+
+class TestRationalize:
+    """The integer identity accepts and rejects exactly what the Fraction product did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(exact_factors, min_size=1, max_size=6), small_fractions.filter(bool),
+           st.sampled_from(["none", "factor", "form"]), st.floats(1e-13, 1e-3), st.integers(0, 99))
+    def test_decides_like_reference(self, factors, leading, perturb, eps, k):
+        F = from_quadratic_factors(factors, leading=leading)
+        floats = [RealQuadraticFactor(float(f.a), float(f.b)) for f in factors]
+        if perturb == "factor":
+            f = floats[k % len(floats)]
+            floats[k % len(floats)] = RealQuadraticFactor(f.a, f.b * (1 + eps) + eps)
+        elif perturb == "form":
+            coeffs = list(F.coeffs)
+            coeffs[1 + k % F.degree] += Fraction(1, 7)
+            F = BinaryForm(tuple(coeffs))
+        assert _rationalize(F, floats) == reference_rationalize(F, floats)
+
+    def test_accepts_and_rejects(self):
+        F = BinaryForm(SEXTIC_COEFFS)
+        floats = [RealQuadraticFactor(float(a), float(b)) for a, b in SEXTIC_FACTORS]
+        assert _rationalize(F, floats) == reference_rationalize(F, floats)
+        assert [(f.a, f.b) for f in _rationalize(F, floats)] == list(SEXTIC_FACTORS)
+        wrong = floats[:2] + [RealQuadraticFactor(-8.0, 65.5)]
+        assert _rationalize(F, wrong) is None is reference_rationalize(F, wrong)
+
+
+def expand(parts):
+    """prod P^i of [(P, i), ...] as a descending coefficient list."""
+    out = [Fraction(1)]
+    for P, i in parts:
+        for _ in range(i):
+            out = [sum(out[j] * P[k - j] for j in range(len(out)) if 0 <= k - j < len(P))
+                   for k in range(len(out) + len(P) - 1)]
+    return out
+
+
+class TestSquareFreeSplit:
+    def test_square_free_form_is_one_part(self):
+        assert square_free_parts(BinaryForm(SEXTIC_COEFFS)) == [(list(SEXTIC_COEFFS), 1)]
+
+    def test_known_splits(self):
+        # (X - Z)^2 (X^2 + Z^2), and 3 (X^2 + Z^2)^3 (X^2 + XZ + Z^2)
+        assert square_free_parts(BinaryForm((1, -2, 2, -2, 1))) == [([1, 0, 1], 1), ([1, -1], 2)]
+        F = from_quadratic_factors([RealQuadraticFactor(0, 1)] * 3 + [RealQuadraticFactor(1, 1)],
+                                   leading=3)
+        assert square_free_parts(F) == [([1, 1, 1], 1), ([1, 0, 1], 3)]
+
+    def test_seeded_forms_multiply_back(self):
+        rng = random.Random(81)
+        for _ in range(30):
+            distinct = {(f.a, f.b): f for f in (random_integer_factor(rng, 5, 10)
+                                                 for _ in range(rng.randint(1, 4)))}
+            mults = {key: rng.randint(1, 4) for key in distinct}
+            factors = [f for key, f in distinct.items() for _ in range(mults[key])]
+            F = transform(from_quadratic_factors(factors, leading=Fraction(rng.randint(1, 9), 4)),
+                          random_unimodular(rng, bound=5))
+            parts = square_free_parts(F)
+            assert [F.coeffs[0] * c for c in expand(parts)] == list(F.coeffs)
+            for P, _ in parts:
+                assert square_free_parts(BinaryForm(tuple(P))) == [(P, 1)]
+            # multiplicities add up by degree
+            by_mult = {}
+            for m in mults.values():
+                by_mult[m] = by_mult.get(m, 0) + 2
+            assert {i: len(P) - 1 for P, i in parts} == by_mult
+
+
+small_polys = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
+).filter(lambda cs: cs[0] != 0)
+
+
+class TestSquareFreeShortcut:
+    """The modular square-free test only ever skips work: with it or without
+    it the split is the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys, small_polys, st.integers(1, 3))
+    def test_same_split_as_gcds_over_rationals(self, g, h, k):
+        F = BinaryForm(tuple(expand([(g, 1), (h, k)])))
+        split = square_free_parts(F)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(formred.roots, "_square_free_mod_prime", lambda ints: False)
+            assert square_free_parts(F) == split
+
+    def test_leading_coefficient_divisible_by_the_prime(self):
+        p = formred.roots._PRIME
+        assert square_free_parts(BinaryForm((p, 0, p))) == [([1, 0, 1], 1)]
+        assert square_free_parts(BinaryForm((p, 0, 2 * p, 0, p))) == [([1, 0, 1], 2)]
+
+
+class TestCertifiedRoots:
+    def test_direct_solve_when_it_certifies(self):
+        F = BinaryForm(SEXTIC_COEFFS)
+        roots, rs = certified_roots(F)
+        assert roots == complex_roots(F)
+        assert rs == pair_conjugates(roots, form=F) == root_set(F)
+
+    def test_fourth_power_is_rescued(self):
+        F = BinaryForm((1, 0, 4, 0, 6, 0, 4, 0, 1))  # (X^2 + Z^2)^4
+        with pytest.raises(ConvergenceFailure):
+            complex_roots(F)
+        roots, rs = certified_roots(F)
+        assert roots == [-1j] * 4 + [1j] * 4
+        assert rs.pairs == (PointH2(0, 1),) * 4
+        assert rs.residual == 0.0
+
+    def test_pairs_repeat_with_multiplicity(self):
+        F = from_quadratic_factors([RealQuadraticFactor(0, 1)] * 3 + [RealQuadraticFactor(1, 1)])
+        roots, rs = certified_roots(F)
+        assert len(roots) == 8 and len(rs) == 4
+        assert_same_multiset(roots, [1j, -1j] * 3 + [complex(-0.5, s * 3**0.5 / 2)
+                                                   for s in (1, -1)])
+        assert rs.pairs[1:] == (PointH2(0, 1),) * 3
+        assert abs(rs.pairs[0].as_complex() - complex(-0.5, 3**0.5 / 2)) <= 1e-15
+
+    def test_square_free_failure_is_reraised(self, monkeypatch):
+        def failing(F, tol=1e-10):
+            raise ConvergenceFailure("direct solve failed")
+
+        monkeypatch.setattr(formred.roots, "complex_roots", failing)
+        with pytest.raises(ConvergenceFailure, match="^direct solve failed$"):
+            certified_roots(BinaryForm(SEXTIC_COEFFS))
+
+    def test_linear_part_is_a_real_root(self, monkeypatch):
+        F = BinaryForm((1, -2, 2, -2, 1))  # (X - Z)^2 (X^2 + Z^2)
+        solve = formred.roots.complex_roots
+
+        def failing_on_f(G, tol=1e-10):
+            if G == F:
+                raise UnpairedRoot("direct solve failed")
+            return solve(G, tol=tol)
+
+        monkeypatch.setattr(formred.roots, "complex_roots", failing_on_f)
+        with pytest.raises(RealRootDetected, match="multiplicity 2"):
+            certified_roots(F)
