@@ -126,22 +126,30 @@ def center_from_quadratic_factors_exact(factors):
     return Fraction(-s1, 2 * s0), Fraction(4 * s2 * s0 - s1 * s1, 4 * s0 * s0)
 
 
-def center_from_quadratic_factors(factors):
-    """Center of mass of the factor roots, straight from the (a_j, b_j) data."""
+def center_and_exact(factors):
+    """(center, exact) for the roots of the factors: exact is (t, u^2) from
+    center_from_quadratic_factors_exact when the factor data is rational, and
+    the center is then its float image; otherwise exact is None and the
+    center comes from the float formulas."""
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
     exact = center_from_quadratic_factors_exact(factors)
     if exact is not None:
         t, u_sq = exact
-        return PointH2(float(t), math.sqrt(float(u_sq)))
+        return PointH2(float(t), math.sqrt(float(u_sq))), exact
     a = [float(f.a) for f in factors]
     b = [float(f.b) for f in factors]
     d = [math.sqrt(float(f.d_squared)) for f in factors]
     psi_ad = psi(a, d)
     t = -psi_ad / 2
     u_sq = psi(b, d) - psi_ad * psi_ad / 4
-    return PointH2(t, math.sqrt(u_sq))
+    return PointH2(t, math.sqrt(u_sq)), None
+
+
+def center_from_quadratic_factors(factors):
+    """Center of mass of the factor roots, straight from the (a_j, b_j) data."""
+    return center_and_exact(factors)[0]
 
 
 def alt_center_presentation(factors):

@@ -9,7 +9,6 @@ stderr.
 import contextlib
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -34,8 +33,6 @@ from .reduce import (
 )
 from .roots import certified_roots, root_set
 
-log = logging.getLogger(__name__)
-
 
 # (error class, batch status, exit code), most specific first; any other
 # FormReductionError is a "reduction_error" with exit code 1
@@ -58,6 +55,9 @@ def _classify(exc):
 def _configure_logging():
     level = os.environ.get("FORMRED_LOG", "").upper()
     if level:
+        # imported only here: without FORMRED_LOG a command never loads logging
+        import logging
+
         logging.basicConfig(level=getattr(logging, level, logging.INFO), stream=sys.stderr)
 
 

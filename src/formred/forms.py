@@ -6,12 +6,16 @@ integral and a Fraction otherwise, so integral forms are transformed and
 measured in int arithmetic.  A matrix M = (a b; c d) with det 1 acts by
 substitution, F^M(X, Z) = F(aX + bZ, cX + dZ), which is a right action:
 (F^M)^N = F^(MN).
+
+The record classes of the package (forms, matrices, points, reports) derive
+from _Record, an immutable slotted class that compares, hashes, prints and
+copies like a frozen dataclass, without importing dataclasses.
 """
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import FormParseError, RealRootDetected
 
@@ -33,21 +37,61 @@ def _exact(value, what="coefficient"):
     return int(f.numerator) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True, slots=True)
-class UnimodularMatrix:
+# a record's __init__ sets its fields with _set, past _Record.__setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable record: the fields are the subclass's __slots__, set once in
+    its __init__ through _set.  Equality (same type, equal fields), hashing,
+    repr, copying and pickling follow the fields, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" in cls.__dict__:
+            fields = cls._fields = tuple(cls.__slots__)
+            get = attrgetter(*fields)
+            # the tuple of field values, a 1-tuple for a single field
+            cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class UnimodularMatrix(_Record):
     """Integer 2x2 matrix (a b; c d) with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
+    def __init__(self, a, b, c, d):
+        for entry in (a, b, c, d):
             if not isinstance(entry, int):
                 raise TypeError("matrix entries must be integers")
-        if self.a * self.d - self.b * self.c != 1:
+        if a * d - b * c != 1:
             raise ValueError("matrix must have determinant 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @classmethod
     def identity(cls):
@@ -82,25 +126,22 @@ class UnimodularMatrix:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
-@dataclass(frozen=True)
-class RealQuadraticFactor:
+class RealQuadraticFactor(_Record):
     """Monic real quadratic X^2 + a*XZ + b*Z^2 with no real roots (a^2 < 4b).
 
-    Coefficients are either both exact (int/Fraction) or floats; exact factors
-    feed the exact evaluation path of the centroid formulas.
+    Coefficients are either both Fractions or both floats; exact factors feed
+    the exact evaluation path of the centroid formulas.
     """
 
-    a: Fraction | float
-    b: Fraction | float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a, b):
         if isinstance(a, float) or isinstance(b, float):
-            object.__setattr__(self, "a", float(a))
-            object.__setattr__(self, "b", float(b))
+            _set(self, "a", float(a))
+            _set(self, "b", float(b))
         else:
-            object.__setattr__(self, "a", Fraction(a))
-            object.__setattr__(self, "b", Fraction(b))
+            _set(self, "a", Fraction(a))
+            _set(self, "b", Fraction(b))
         if 4 * self.b - self.a * self.a <= 0:
             raise RealRootDetected(f"factor X^2 + {a}XZ + {b}Z^2 has real roots")
 
@@ -124,23 +165,22 @@ class RealQuadraticFactor:
         return math.sqrt(float(self.d_squared)) / 2
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryForm:
+class BinaryForm(_Record):
     """Degree-n binary form, coefficients c_0..c_n in descending powers of X.
 
     Each coefficient is an int when integral and a Fraction otherwise; forms
     built from 3, Fraction(3) or "6/2" compare and hash equal.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(_exact(c) for c in self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(_exact(c) for c in coeffs)
         if len(coeffs) < 3:
             raise FormParseError("a binary form must have degree at least 2")
         if coeffs[0] == 0:
             raise FormParseError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
 
     @property
     def degree(self):

@@ -15,11 +15,10 @@ Conventions used throughout:
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceFailure
-from .forms import UnimodularMatrix
+from .forms import UnimodularMatrix, _Record, _set
 
 INFINITY = math.inf
 
@@ -33,43 +32,44 @@ def is_infinite(p):
     return isinstance(p, float) and math.isinf(p)
 
 
-@dataclass(frozen=True, slots=True)
-class PointH2:
-    x: float
-    y: float
+class PointH2(_Record):
+    """x + iy with float coordinates, y > 0."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not self.y > 0:
-            raise ValueError(f"upper half-plane point needs y > 0, got y={self.y}")
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        x, y = float(x), float(y)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        if not y > 0:
+            raise ValueError(f"upper half-plane point needs y > 0, got y={y}")
 
     def as_complex(self):
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class PointH3:
-    z: complex
-    t: float
+class PointH3(_Record):
+    """z + tj with complex z and float t > 0."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "t", float(self.t))
-        if not self.t > 0:
-            raise ValueError(f"upper half-space point needs t > 0, got t={self.t}")
+    __slots__ = ("z", "t")
+
+    def __init__(self, z, t):
+        z, t = complex(z), float(t)
+        _set(self, "z", z)
+        _set(self, "t", t)
+        if not t > 0:
+            raise ValueError(f"upper half-space point needs t > 0, got t={t}")
 
 
-@dataclass(frozen=True)
-class HyperboloidPoint:
-    x1: float
-    x2: float
-    x3: float
+class HyperboloidPoint(_Record):
+    """(x1, x2, x3) on the upper sheet of -x1^2 - x2^2 + x3^2 = 1."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
-        object.__setattr__(self, "x3", float(self.x3))
+    __slots__ = ("x1", "x2", "x3")
+
+    def __init__(self, x1, x2, x3):
+        _set(self, "x1", float(x1))
+        _set(self, "x2", float(x2))
+        _set(self, "x3", float(x3))
         if not self.x3 > 0:
             raise ValueError("hyperboloid point needs x3 > 0")
         err = abs(minkowski(self, self) - 1.0)

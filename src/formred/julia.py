@@ -20,46 +20,45 @@ Hessian, a partial-pivot elimination solves for the Newton step, and sums over
 the roots run left to right.
 """
 
-import logging
 import math
-from dataclasses import dataclass
 
 from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
+from .forms import _Record, _set
 from .hyperbolic import PointH2, PointH3
-from .roots import RootSet, root_set
-
-log = logging.getLogger(__name__)
+from .roots import RootSet, _debug, root_set
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class BarycentricWeights:
+class BarycentricWeights(_Record):
     """Nonnegative weights t_1..t_n, not all zero."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, values):
+        vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("need at least one weight")
         if any(v < 0 for v in vals):
             raise ValueError("weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("weights must not all be zero")
-        object.__setattr__(self, "values", vals)
+        _set(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class JuliaResult:
-    """Minimizer w0 with the objective value and the convergence certificate."""
+class JuliaResult(_Record):
+    """Minimizer w0 (a PointH2 or PointH3) with the objective value and the
+    convergence certificate."""
 
-    point: PointH2 | PointH3
-    objective: float
-    gradient_norm: float
-    iterations: int
+    __slots__ = ("point", "objective", "gradient_norm", "iterations")
+
+    def __init__(self, point, objective, gradient_norm, iterations):
+        _set(self, "point", point)
+        _set(self, "objective", objective)
+        _set(self, "gradient_norm", gradient_norm)
+        _set(self, "iterations", iterations)
 
 
 def _weight_values(weights):
@@ -294,7 +293,7 @@ def julia_zero(roots, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
     p0 = (start.z.real, start.z.imag, math.log(start.t))
     p, val, riem, it = _minimize(_complex_problem(roots), p0, tol, max_iter)
     point = PointH3(complex(p[0], p[1]), math.exp(p[2]))
-    log.debug("julia_zero: %d iterations, gradient %.2e", it, riem)
+    _debug(__name__, "julia_zero: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 
 
@@ -313,7 +312,7 @@ def julia_zero_real(pairs, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
     p0 = (start.x, math.log(start.y))
     p, val, riem, it = _minimize(_real_problem(pts), p0, tol, max_iter)
     point = PointH2(p[0], math.exp(p[1]))
-    log.debug("julia_zero_real: %d iterations, gradient %.2e", it, riem)
+    _debug(__name__, "julia_zero_real: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 
 

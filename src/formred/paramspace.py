@@ -9,12 +9,10 @@ encode ideal points: Q_r = (X - rZ)^2, Q_oo = Z^2 and their Hermitian analogues.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateCombination, NotPositiveDefinite
 from .hyperbolic import PointH2, PointH3
-from .forms import UnimodularMatrix
+from .forms import UnimodularMatrix, _Record, _set
 
 _NEG_TOL = 1e-9
 
@@ -26,15 +24,16 @@ def _first_nonzero(values):
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class PosDefQuadratic:
-    """a*X^2 - 2b*XZ + c*Z^2, positive semidefinite (boundary forms allowed)."""
+class PosDefQuadratic(_Record):
+    """a*X^2 - 2b*XZ + c*Z^2, positive semidefinite (boundary forms allowed);
+    a, b, c are floats or exact rationals.  Equal up to a positive factor."""
 
-    a: float | Fraction
-    b: float | Fraction
-    c: float | Fraction
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
+    def __init__(self, a, b, c):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
         scale = max(abs(self.a), abs(self.b), abs(self.c))
         if scale == 0:
             raise ValueError("zero quadratic form")
@@ -85,16 +84,16 @@ class PosDefQuadratic:
         return all(mine[j] * theirs[i] == theirs[j] * mine[i] for j in range(3))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianForm:
-    """a|X|^2 - b X conj(Z) - conj(b) conj(X) Z + c|Z|^2 with real a, c."""
+class HermitianForm(_Record):
+    """a|X|^2 - b X conj(Z) - conj(b) conj(X) Z + c|Z|^2 with real a, c and
+    complex b.  Equal up to a positive factor."""
 
-    a: float
-    b: complex
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", complex(self.b))
+    def __init__(self, a, b, c):
+        _set(self, "a", a)
+        _set(self, "b", complex(b))
+        _set(self, "c", c)
         scale = max(abs(self.a), abs(self.b), abs(self.c))
         if scale == 0:
             raise ValueError("zero Hermitian form")

@@ -10,13 +10,12 @@ whenever the centroid path stayed rational).
 
 import json
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import centroid as _centroid
 from .errors import FormParseError, RealRootDetected
-from .forms import BinaryForm, UnimodularMatrix, normalized_height, transform
+from .forms import _Record, _set, normalized_height, transform
 from .hyperbolic import (
     PointH2,
     dist_h2,
@@ -25,7 +24,6 @@ from .hyperbolic import (
     reduce_point_exact,
     reduce_point_to_fundamental_domain,
 )
-from .julia import julia_zero_real
 from .roots import real_quadratic_factors, root_set
 
 SCHEMA_VERSION = 1
@@ -53,13 +51,16 @@ def format_decimal_sqrt(value, digits=30):
     return str(d)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroPoint:
-    """A zero-map value with optional exact rational coordinates (t, u^2)."""
+class ZeroPoint(_Record):
+    """A zero-map value (a PointH2) with optional exact rational coordinates
+    (t, u^2), None when the point is a float one."""
 
-    point: PointH2
-    t_exact: Fraction | None = None
-    u_sq_exact: Fraction | None = None
+    __slots__ = ("point", "t_exact", "u_sq_exact")
+
+    def __init__(self, point, t_exact=None, u_sq_exact=None):
+        _set(self, "point", point)
+        _set(self, "t_exact", t_exact)
+        _set(self, "u_sq_exact", u_sq_exact)
 
     def to_dict(self, digits=30):
         out = {
@@ -72,17 +73,25 @@ class ZeroPoint:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionReport:
-    input: BinaryForm
-    method: str
-    zero_point: ZeroPoint
-    matrix: UnimodularMatrix
-    reduced: BinaryForm
-    height_before: int
-    height_after: int
-    reduced_point: ZeroPoint
-    diagnostics: dict
+class ReductionReport(_Record):
+    """One reduction: the input BinaryForm, the method, its ZeroPoint, the
+    UnimodularMatrix, the reduced BinaryForm, the normalized heights before
+    and after, the reduced ZeroPoint and a dict of diagnostics."""
+
+    __slots__ = ("input", "method", "zero_point", "matrix", "reduced", "height_before",
+                 "height_after", "reduced_point", "diagnostics")
+
+    def __init__(self, input, method, zero_point, matrix, reduced, height_before,
+                 height_after, reduced_point, diagnostics):
+        _set(self, "input", input)
+        _set(self, "method", method)
+        _set(self, "zero_point", zero_point)
+        _set(self, "matrix", matrix)
+        _set(self, "reduced", reduced)
+        _set(self, "height_before", height_before)
+        _set(self, "height_after", height_after)
+        _set(self, "reduced_point", reduced_point)
+        _set(self, "diagnostics", diagnostics)
 
     def to_dict(self, digits=30):
         return {
@@ -104,13 +113,20 @@ class ReductionReport:
         return json.dumps(self.to_dict(digits), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    centroid_report: ReductionReport
-    julia_report: ReductionReport
-    zero_gap: float
-    same_matrix: bool
-    same_reduced_form: bool
+class ComparisonReport(_Record):
+    """The centroid and the Julia ReductionReport of one form, the distance
+    between their zero points and whether their matrices and reduced forms agree."""
+
+    __slots__ = ("centroid_report", "julia_report", "zero_gap", "same_matrix",
+                 "same_reduced_form")
+
+    def __init__(self, centroid_report, julia_report, zero_gap, same_matrix,
+                 same_reduced_form):
+        _set(self, "centroid_report", centroid_report)
+        _set(self, "julia_report", julia_report)
+        _set(self, "zero_gap", zero_gap)
+        _set(self, "same_matrix", same_matrix)
+        _set(self, "same_reduced_form", same_reduced_form)
 
     def to_dict(self, digits=30):
         return {
@@ -128,20 +144,23 @@ def _check_method(method):
         raise FormParseError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def julia_zero_real(pairs, **kwargs):
+    """formred.julia.julia_zero_real, with formred.julia imported by the first
+    call: a centroid reduction never loads it.  A module-level name, so that
+    callers and perfbench's spans can wrap the Julia step of zero_point."""
+    from .julia import julia_zero_real
+
+    return julia_zero_real(pairs, **kwargs)
+
+
 def zero_point(F, method="centroid", tol=1e-10, rootset=None):
     """Zero-map value of F under the requested method, with diagnostics."""
     _check_method(method)
     rs = rootset if rootset is not None else root_set(F, tol=tol)
     if method == "centroid":
         factors = real_quadratic_factors(F, tol=tol, rootset=rs)
-        exact = _centroid.center_from_quadratic_factors_exact(factors)
-        if exact is not None:
-            t, u_sq = exact
-            pt = PointH2(float(t), math.sqrt(float(u_sq)))
-            zp = ZeroPoint(pt, t, u_sq)
-        else:
-            pt = _centroid.center_from_quadratic_factors(factors)
-            zp = ZeroPoint(pt)
+        pt, exact = _centroid.center_and_exact(factors)
+        zp = ZeroPoint(pt) if exact is None else ZeroPoint(pt, *exact)
         xs = [p.x for p in rs.pairs]
         ys = [p.y for p in rs.pairs]
         r1 = sum((pt.x - x) / y for x, y in zip(xs, ys))

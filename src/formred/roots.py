@@ -20,17 +20,14 @@ runs on ints too.
 """
 
 import cmath
-import logging
 import math
+import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
-from .forms import BinaryForm, RealQuadraticFactor, _poly_mul
+from .forms import BinaryForm, RealQuadraticFactor, _poly_mul, _Record, _set
 from .hyperbolic import PointH2
-
-log = logging.getLogger(__name__)
 
 REALNESS_THRESHOLD = 1e-8
 _CLUSTER_RADIUS = 1e-7
@@ -40,15 +37,23 @@ _ZOOM_GROUP_RADIUS = 0.02
 _ZOOM_BITS = 24
 
 
-@dataclass(frozen=True)
-class RootSet:
+def _debug(logger, msg, *args):
+    """logging.getLogger(logger).debug(msg, *args), skipped while logging is not
+    imported: until then nothing can have given the logger a level or a handler,
+    and the record would be dropped."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args)
+
+
+class RootSet(_Record):
     """Upper half-plane representatives of the conjugate root pairs of a real form."""
 
-    pairs: tuple
-    residual: float = 0.0
+    __slots__ = ("pairs", "residual")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+    def __init__(self, pairs, residual=0.0):
+        _set(self, "pairs", tuple(pairs))
+        _set(self, "residual", residual)
 
     def __len__(self):
         return len(self.pairs)
@@ -108,7 +113,7 @@ def _aberth(coeffs, max_iter):
             if rel > moved:
                 moved = rel
         if moved <= 1e-14:
-            log.debug("aberth converged in %d iterations", it + 1)
+            _debug(__name__, "aberth converged in %d iterations", it + 1)
             break
     return xs
 
@@ -335,7 +340,7 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     ws = [_newton_polish(local, local_deriv, w) for w in ws]
     x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
-    log.debug("zoom re-solve at %s with scale %s", x0f, sf)
+    _debug(__name__, "zoom re-solve at %s with scale %s", x0f, sf)
     return _refine(poly, dpoly, coeffs, deriv, back)
 
 
@@ -534,7 +539,7 @@ def certified_roots(F, tol=1e-10):
         parts = square_free_parts(F)
         if len(parts) == 1 and parts[0][1] == 1:
             raise
-    log.debug("square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
     roots, pairs = [], []
     for P, i in parts:
         if len(P) == 2:
@@ -596,6 +601,6 @@ def real_quadratic_factors(F, tol=1e-10, rootset=None):
     floats = [RealQuadraticFactor(-2.0 * p.x, p.x * p.x + p.y * p.y) for p in rs.pairs]
     exact = _rationalize(F, floats)
     if exact is not None:
-        log.debug("recovered exact quadratic factors for %s", F)
+        _debug(__name__, "recovered exact quadratic factors for %s", F)
         return exact
     return floats

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -372,14 +373,65 @@ print("numpy" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
-def test_import_loads_only_what_a_command_runs():
-    # -S: an installation's site hooks may import typing on their own
-    code = ("import sys; import formred, formred.cli; "
-            "print(sorted({'argparse', 'typing', 'formred.paramspace'} & set(sys.modules)))")
+# FORMRED_LOG=DEBUG stderr of `formred reduce --method both` on the worked sextic
+SEXTIC_DEBUG_LOG = [
+    "DEBUG:formred.roots:aberth converged in 10 iterations",
+    "DEBUG:formred.roots:recovered exact quadratic factors for "
+    "x^6 - 24*x^5 + 306*x^4 - 2308*x^3 + 10933*x^2 - 29068*x + 43940",
+    "DEBUG:formred.roots:aberth converged in 10 iterations",
+    "DEBUG:formred.julia:julia_zero_real: 3 iterations, gradient 1.04e-15",
+]
+
+
+def _src_env(**extra):
+    """The environment with this checkout's src/ on PYTHONPATH, FORMRED_LOG unset."""
     src = str(Path(formred.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True)
+    env.pop("FORMRED_LOG", None)
+    return dict(env, **extra)
+
+
+def test_import_loads_only_what_a_command_runs():
+    # -S: an installation's site hooks may import typing on their own
+    code = f"""
+import contextlib, io, sys
+import formred, formred.cli
+print(sorted({{'argparse', 'typing', 'formred.paramspace', 'dataclasses', 'inspect',
+              'logging', 'formred.julia'}} & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert formred.cli.main(["reduce", "--coeffs", "{SEXTIC_ARG}", "--method", "centroid"]) == 0
+print(sorted({{'logging', 'formred.julia'}} & set(sys.modules)))
+formred.compare_methods(formred.parse("{SEXTIC_ARG}"))
+print('formred.julia' in sys.modules)
+import formred.paramspace
+print(sorted({{'dataclasses', 'logging'}} & set(sys.modules)))
+# logging imported after formred: a level set then still gets the records
+import logging
+logging.basicConfig(format="%(name)s:%(message)s")
+logging.getLogger("formred.roots").setLevel(logging.DEBUG)
+formred.reduce_form(formred.parse("{SEXTIC_ARG}"))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "True", "[]"]
+    assert proc.stderr.splitlines() == [line.split(":", 1)[1] for line in SEXTIC_DEBUG_LOG[:2]]
+
+
+def test_debug_log_goes_to_stderr_only():
+    cmd = [sys.executable, "-m", "formred.cli", "reduce", "--method", "both",
+           "--coeffs", SEXTIC_ARG]
+    quiet = subprocess.run(cmd, env=_src_env(), capture_output=True, text=True)
+    debug = subprocess.run(cmd, env=_src_env(FORMRED_LOG="DEBUG"), capture_output=True,
+                           text=True)
+    assert quiet.returncode == debug.returncode == 0, debug.stderr
+    assert quiet.stderr == ""
+    assert debug.stderr.splitlines() == SEXTIC_DEBUG_LOG
+    assert debug.stdout == quiet.stdout
+
+
+def test_debug_records_reach_a_level_set_after_import(caplog):
+    caplog.set_level(logging.DEBUG, logger="formred.roots")
+    formred.reduce_form(formred.BinaryForm(SEXTIC_COEFFS))
+    assert [f"DEBUG:{r.name}:{r.getMessage()}" for r in caplog.records] == SEXTIC_DEBUG_LOG[:2]

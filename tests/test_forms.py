@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,6 +23,11 @@ from formred.forms import (
     serialize,
     transform,
 )
+from formred.hyperbolic import HyperboloidPoint, PointH2, PointH3
+from formred.julia import BarycentricWeights, JuliaResult
+from formred.paramspace import HermitianForm, PosDefQuadratic
+from formred.reduce import ComparisonReport, ReductionReport, ZeroPoint
+from formred.roots import RootSet
 
 X2_PLUS_Z2 = BinaryForm((1, 0, 1))
 
@@ -276,3 +283,86 @@ class TestCoefficientTypes:
                          UnimodularMatrix(1, 1, 0, 1))
         assert [type(c) for c in half.coeffs] == [Fraction, int, int]
         assert half.coeffs == (Fraction(1, 2), 1, 1)
+
+
+_P = PointH2(1, 2)
+_REPORT = ReductionReport(BinaryForm((1, 0, 1)), "centroid", ZeroPoint(PointH2(0, 1), 0, 1),
+                          UnimodularMatrix.identity(), BinaryForm((1, 0, 1)), 1, 1,
+                          ZeroPoint(PointH2(0, 1)), {"exact": True})
+_REPORT_TEXT = (
+    "ReductionReport(input=BinaryForm(coeffs=(1, 0, 1)), method='centroid', "
+    "zero_point=ZeroPoint(point=PointH2(x=0.0, y=1.0), t_exact=0, u_sq_exact=1), "
+    "matrix=UnimodularMatrix(a=1, b=0, c=0, d=1), reduced=BinaryForm(coeffs=(1, 0, 1)), "
+    "height_before=1, height_after=1, "
+    "reduced_point=ZeroPoint(point=PointH2(x=0.0, y=1.0), t_exact=None, u_sq_exact=None), "
+    "diagnostics={'exact': True})")
+# (class, positional arguments, field names, repr, arguments giving an equal
+# record, hashable); arguments shorter than the fields leave the defaults
+RECORDS = [
+    (UnimodularMatrix, (2, 1, 1, 1), "a b c d", "UnimodularMatrix(a=2, b=1, c=1, d=1)",
+     (2, True, 1, 1), True),
+    (RealQuadraticFactor, (-4, 13), "a b", "RealQuadraticFactor(a=Fraction(-4, 1), b=Fraction(13, 1))",
+     (Fraction(-8, 2), "13"), True),
+    (BinaryForm, ((3, 0, 1),), "coeffs", "BinaryForm(coeffs=(3, 0, 1))",
+     ((Fraction(6, 2), "0", "6/6"),), True),
+    (PointH2, (1, 2), "x y", "PointH2(x=1.0, y=2.0)", (1.0, Fraction(2)), True),
+    (PointH3, (1 + 1j, 2), "z t", "PointH3(z=(1+1j), t=2.0)", (complex(1, 1), 2.0), True),
+    (HyperboloidPoint, (0, 0, 1), "x1 x2 x3", "HyperboloidPoint(x1=0.0, x2=0.0, x3=1.0)",
+     (0.0, 0.0, 1.0), True),
+    (RootSet, ([_P],), "pairs residual", "RootSet(pairs=(PointH2(x=1.0, y=2.0),), residual=0.0)",
+     ((PointH2(1.0, 2.0),), 0.0), True),
+    (ZeroPoint, (_P,), "point t_exact u_sq_exact",
+     "ZeroPoint(point=PointH2(x=1.0, y=2.0), t_exact=None, u_sq_exact=None)",
+     (PointH2(1.0, 2.0), None, None), True),
+    (ReductionReport, tuple(getattr(_REPORT, f) for f in (
+        "input method zero_point matrix reduced height_before height_after reduced_point "
+        "diagnostics").split()),
+     "input method zero_point matrix reduced height_before height_after reduced_point "
+     "diagnostics", _REPORT_TEXT, None, False),
+    (ComparisonReport, (_REPORT, _REPORT, 0.0, True, True),
+     "centroid_report julia_report zero_gap same_matrix same_reduced_form",
+     f"ComparisonReport(centroid_report={_REPORT_TEXT}, julia_report={_REPORT_TEXT}, "
+     "zero_gap=0.0, same_matrix=True, same_reduced_form=True)", None, False),
+    (BarycentricWeights, ((1, 2),), "values", "BarycentricWeights(values=(1.0, 2.0))",
+     ([1.0, 2.0],), True),
+    (JuliaResult, (_P, 0.5, 1e-12, 3), "point objective gradient_norm iterations",
+     "JuliaResult(point=PointH2(x=1.0, y=2.0), objective=0.5, gradient_norm=1e-12, iterations=3)",
+     None, True),
+    # the paramspace classes define their own equality, up to a positive factor
+    (PosDefQuadratic, (1, 0, 1), "a b c", "PosDefQuadratic(a=1, b=0, c=1)", (2, 0, 2), False),
+    (HermitianForm, (1, 0, 1), "a b c", "HermitianForm(a=1, b=0j, c=1)", (3.0, 0j, 3.0), False),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields, text, equal_args, hashable", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, args, fields, text, equal_args, hashable):
+    """Equality, hashing, repr, immutability and copying of every record class."""
+    fields = fields.split()
+    a, b, kw = cls(*args), cls(*args), cls(**dict(zip(fields, args)))
+    assert a is not b
+    assert repr(a) == repr(kw) == text
+    assert a == b == kw
+    if equal_args is not None:
+        assert cls(*equal_args) == a
+    assert a != tuple(getattr(a, f) for f in fields)
+    if cls in (PosDefQuadratic, HermitianForm):
+        assert a != cls(1, 0, 2)
+        assert cls.__hash__ is None
+    else:
+        other = type("Other", (cls,), {})(*args)
+        assert a != other and other != a
+    if hashable:
+        equal = [a, b, kw] + ([cls(*equal_args)] if equal_args is not None else [])
+        assert len({hash(r) for r in equal}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(b, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert repr(a) == text
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(c) is cls and c == a and repr(c) == text

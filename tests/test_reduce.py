@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import formred.centroid
 from conftest import (
     ACCEPTANCE_SEED,
+    SEXTIC_COEFFS,
     SEXTIC_REDUCED,
     SEXTIC_T,
     SEXTIC_U_SQ,
@@ -206,6 +208,20 @@ class TestZeroPoint:
         assert diag["exact"] is True
         assert abs(diag["system_residuals"][0]) <= 1e-10
         assert abs(diag["system_residuals"][1]) <= 1e-10
+
+    @pytest.mark.parametrize("coeffs, exact", [(SEXTIC_COEFFS, True), ((1, 1, 2, 1, 1), False)])
+    def test_one_exact_attempt(self, monkeypatch, coeffs, exact):
+        # (X^2 + XZ + Z^2)(X^2 + Z^2) has the irrational d = sqrt(3): the float path
+        calls, center_exact = [], formred.centroid.center_from_quadratic_factors_exact
+
+        def counting(factors):
+            calls.append(factors)
+            return center_exact(factors)
+
+        monkeypatch.setattr(formred.centroid, "center_from_quadratic_factors_exact", counting)
+        zp, diag = zero_point(BinaryForm(coeffs), method="centroid")
+        assert len(calls) == 1
+        assert diag["exact"] is exact and (zp.t_exact is not None) is exact
 
     def test_julia_diag(self, sextic):
         zp, diag = zero_point(sextic, method="julia")
