@@ -31,7 +31,7 @@ from .reduce import (
     reduce_form,
     zero_point,
 )
-from .roots import certified_roots, root_set
+from .roots import certified_roots
 
 
 # (error class, batch status, exit code), most specific first; any other
@@ -95,7 +95,7 @@ def sqrt_display(value):
     return root if coeff == 1 else f"({coeff})*{root}"
 
 
-def _emit(args, payload):
+def _emit(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -113,13 +113,13 @@ def cmd_reduce(args):
             print(f"zero_gap = {format_decimal(comparison.zero_gap, args.precision)}")
             print(f"same_reduced_form = {str(comparison.same_reduced_form).lower()}")
         else:
-            _emit(args, comparison.to_dict())
+            _emit(comparison.to_dict())
         return 0
     report = reduce_form(F, method=args.method, tol=args.tol)
     if args.format == "text":
         _print_report_text(report, args.precision)
     else:
-        _emit(args, report.to_dict())
+        _emit(report.to_dict())
     return 0
 
 
@@ -135,26 +135,31 @@ def _print_report_text(report, digits):
     print(f"height          {report.height_before} -> {report.height_after}")
 
 
-def _zero_points(args):
-    """{method: (zero point, diagnostics)} for the requested method(s) of
-    args.coeffs, all from one root solve."""
-    F = parse(args.coeffs)
-    rs = root_set(F, tol=args.tol)
-    methods = METHODS if args.method == "both" else (args.method,)
-    return {m: zero_point(F, method=m, tol=args.tol, rootset=rs) for m in methods}
+def _methods(method):
+    """The zero maps a --method value asks for."""
+    return METHODS if method == "both" else (method,)
+
+
+def _zero_points(coeffs, methods, tol):
+    """(F, roots, RootSet, {method: (zero point, diagnostics)}) of the form
+    `coeffs` under each of `methods`, all from one root solve."""
+    F = parse(coeffs)
+    roots, rs = certified_roots(F, tol=tol)
+    return F, roots, rs, {m: zero_point(F, method=m, tol=tol, rootset=rs) for m in methods}
 
 
 def cmd_zero(args):
-    results = _zero_points(args)
+    *_, results = _zero_points(args.coeffs, _methods(args.method), args.tol)
+    gap = (dist_h2(results["centroid"][0].point, results["julia"][0].point)
+           if len(results) == 2 else None)
     if args.format != "text":
         payload = {"schema_version": SCHEMA_VERSION, "zeros": {}}
         for m, (zp, diag) in results.items():
             payload["zeros"][m] = zp.to_dict()
             payload["zeros"][m]["diagnostics"] = diag
-        if len(results) == 2:
-            payload["zero_gap"] = format_decimal(
-                dist_h2(results["centroid"][0].point, results["julia"][0].point))
-        _emit(args, payload)
+        if gap is not None:
+            payload["zero_gap"] = format_decimal(gap)
+        _emit(payload)
         return 0
     for m, (zp, diag) in results.items():
         line = f"{m}: {_point_text(zp, args.precision)}"
@@ -163,20 +168,19 @@ def cmd_zero(args):
         if m == "julia":
             line += f", gradient_norm = {diag['gradient_norm']:.3e}"
         print(line)
-    if len(results) == 2:
-        gap = dist_h2(results["centroid"][0].point, results["julia"][0].point)
+    if gap is not None:
         print(f"zero_gap = {format_decimal(gap, args.precision)}")
     return 0
 
 
 def cmd_zero_map(args):
     """`center` and `julia`: one zero map and whether it lies in the fundamental domain."""
-    [(method, (zp, diag))] = _zero_points(args).items()
+    [(method, (zp, diag))] = _zero_points(args.coeffs, (args.method,), args.tol)[-1].items()
     inside = in_fundamental_domain(zp.point)
     if args.format != "text":
         key = "center" if method == "centroid" else "julia"
-        _emit(args, {"schema_version": SCHEMA_VERSION, key: zp.to_dict(),
-                     "diagnostics": diag, "in_fundamental_domain": inside})
+        _emit({"schema_version": SCHEMA_VERSION, key: zp.to_dict(),
+               "diagnostics": diag, "in_fundamental_domain": inside})
         return 0
     if zp.t_exact is not None:
         print(f"t = {zp.t_exact}, u = {sqrt_display(zp.u_sq_exact)}")
@@ -188,27 +192,26 @@ def cmd_zero_map(args):
     return 0
 
 
-def _batch_record(ident, line_coeffs, methods, tol):
+def _batch_record(ident, line_coeffs, method, tol):
+    """One batch line as `reduce --method <method>` computes it, cut to the
+    fields a batch record keeps."""
     record = {"schema_version": SCHEMA_VERSION, "id": ident}
     try:
         F = parse(line_coeffs)
-        reports = {m: reduce_form(F, method=m, tol=tol) for m in methods}
+        if method == "both":
+            payload = compare_methods(F, tol=tol).to_dict()
+        else:
+            payload = {method: reduce_form(F, method=method, tol=tol).to_dict()}
     except FormReductionError as exc:
         record.update(status=_classify(exc)[0], error=str(exc))
         return record
-    record["status"] = "ok"
-    record["degree"] = F.degree
-    record["height_before"] = str(next(iter(reports.values())).height_before)
-    for m, rep in reports.items():
-        record[m] = {
-            "height_after": str(rep.height_after),
-            "matrix": [[rep.matrix.a, rep.matrix.b], [rep.matrix.c, rep.matrix.d]],
-            "zero_point": rep.zero_point.to_dict(),
-        }
-    if len(methods) == 2:
-        record["zero_gap"] = format_decimal(dist_h2(
-            reports["centroid"].zero_point.point, reports["julia"].zero_point.point))
-        record["same_reduced_form"] = reports["centroid"].reduced == reports["julia"].reduced
+    methods = _methods(method)
+    record.update(status="ok", degree=F.degree, height_before=payload[methods[0]]["height_before"])
+    for m in methods:
+        record[m] = {key: payload[m][key] for key in ("height_after", "matrix", "zero_point")}
+    for key in ("zero_gap", "same_reduced_form"):
+        if key in payload:
+            record[key] = payload[key]
     return record
 
 
@@ -237,76 +240,75 @@ def _csv_row(record):
 
 
 def cmd_batch(args):
-    methods = ("centroid", "julia") if args.method == "both" else (args.method,)
+    """Print each line's record as soon as it is built, then the summary;
+    only the summary counts are kept, so memory stays flat on long inputs."""
     try:
         stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     except OSError as exc:
         print(f"cannot open {args.input}: {exc}", file=sys.stderr)
         return 1
-    records = []
+    csv, primary_method = args.format == "csv", _methods(args.method)[0]
+    if csv:
+        print(",".join(_CSV_COLUMNS))
+    counts = dict.fromkeys(("records", "ok", "real_root_detected", "errors",
+                            "height_reduced", "height_unchanged", "height_increased"), 0)
     with stream if stream is not sys.stdin else contextlib.nullcontext(stream) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             ident, _, rest = line.partition(",")
-            if not rest:
-                records.append({"schema_version": SCHEMA_VERSION, "id": ident or str(lineno),
-                                "status": "parse_error", "error": "missing coefficients"})
-                continue
-            records.append(_batch_record(ident, rest, methods, args.tol))
-    summary = _summarize(records, methods[0])
-    if args.format == "csv":
-        print(",".join(_CSV_COLUMNS))
-        for rec in records:
-            print(_csv_row(rec))
-        for key in sorted(summary):
-            print(f"# {key} = {summary[key]}")
+            ident = ident or str(lineno)
+            if rest:
+                record = _batch_record(ident, rest, args.method, args.tol)
+            else:
+                record = {"schema_version": SCHEMA_VERSION, "id": ident,
+                          "status": "parse_error", "error": "missing coefficients"}
+            _count(counts, record, primary_method)
+            print(_csv_row(record) if csv
+                  else json.dumps(record, sort_keys=True, separators=(",", ":")))
+    if csv:
+        for key in sorted(counts):
+            print(f"# {key} = {counts[key]}")
     else:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "type": "summary", **summary},
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "type": "summary", **counts},
                          sort_keys=True, separators=(",", ":")))
     return 0
 
 
-def _summarize(records, primary_method):
-    counts = {"records": len(records), "ok": 0, "real_root_detected": 0, "errors": 0,
-              "height_reduced": 0, "height_unchanged": 0, "height_increased": 0}
-    for rec in records:
-        status = rec["status"]
-        if status == "ok":
-            counts["ok"] += 1
-            before = Fraction(rec["height_before"])
-            after = Fraction(rec[primary_method]["height_after"])
-            if after < before:
-                counts["height_reduced"] += 1
-            elif after == before:
-                counts["height_unchanged"] += 1
-            else:
-                counts["height_increased"] += 1
-        elif status == "real_root_detected":
-            counts["real_root_detected"] += 1
+def _count(counts, record, primary_method):
+    """Add one batch record to the summary counts."""
+    counts["records"] += 1
+    status = record["status"]
+    if status == "ok":
+        counts["ok"] += 1
+        before = Fraction(record["height_before"])
+        after = Fraction(record[primary_method]["height_after"])
+        if after < before:
+            counts["height_reduced"] += 1
+        elif after == before:
+            counts["height_unchanged"] += 1
         else:
-            counts["errors"] += 1
-    return counts
+            counts["height_increased"] += 1
+    elif status == "real_root_detected":
+        counts["real_root_detected"] += 1
+    else:
+        counts["errors"] += 1
 
 
 def cmd_geodata(args):
-    F = parse(args.coeffs)
-    roots, rs = certified_roots(F, tol=args.tol)
+    """Both zero maps of one root solve, the roots, and the reduction path of
+    the requested zero map (the centroid's for `both`)."""
+    F, roots, rs, zeros = _zero_points(args.coeffs, METHODS, args.tol)
     method = "centroid" if args.method == "both" else args.method
-    zc, _ = zero_point(F, method="centroid", tol=args.tol, rootset=rs)
-    zj, _ = zero_point(F, method="julia", tol=args.tol, rootset=rs)
-    start = zc.point if method == "centroid" else zj.point
     path = []
-    _, matrix = reduce_point_to_fundamental_domain(start, trace=path)
+    _, matrix = reduce_point_to_fundamental_domain(zeros[method][0].point, trace=path)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "degree": F.degree,
         "roots": [[r.real, r.imag] for r in roots],
         "pairs": [[p.x, p.y] for p in rs.pairs],
-        "zeros": {"centroid": zc.to_dict(), "julia": zj.to_dict()},
+        "zeros": {m: zp.to_dict() for m, (zp, _) in zeros.items()},
         "reduction": {
             "method": method,
             "matrix": [[matrix.a, matrix.b], [matrix.c, matrix.d]],
@@ -314,7 +316,7 @@ def cmd_geodata(args):
         },
         "fundamental_domain": {"re_min": -0.5, "re_max": 0.5, "min_modulus": 1.0},
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 

@@ -238,12 +238,17 @@ def height(F):
     return max(abs(c) for c in F.coeffs)
 
 
+def _integer_coeffs(F):
+    """(ints, den): F's coefficients as ints over den, their least common denominator."""
+    den = 1
+    for c in F.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [int(c * den) for c in F.coeffs], den
+
+
 def primitive_integral_coeffs(F):
     """Clear denominators and divide by the common content; keeps sign of c_0... as is."""
-    lcm = 1
-    for c in F.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in F.coeffs]
+    ints, _ = _integer_coeffs(F)
     g = 0
     for v in ints:
         g = math.gcd(g, v)

@@ -183,17 +183,12 @@ def _inverse_entries(M, tol=1e-9):
 
 def mobius_h2(z, M):
     """Right action z.M = M^(-1) z on points of H2 or its boundary."""
+    if not isinstance(z, PointH2):
+        return mobius_cp1(z, M)
     a, b, c, d = _inverse_entries(M)
-    if isinstance(z, PointH2):
-        w = z.as_complex()
-        r = (a * w + b) / (c * w + d)
-        return PointH2(r.real, r.imag)
-    if is_infinite(z):
-        return INFINITY if c == 0 else a / c
-    den = c * z + d
-    if den == 0:
-        return INFINITY
-    return (a * z + b) / den
+    w = z.as_complex()
+    r = (a * w + b) / (c * w + d)
+    return PointH2(r.real, r.imag)
 
 
 def mobius_cp1(beta, M):

@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
-from .forms import BinaryForm, RealQuadraticFactor, _poly_mul, _Record, _set
+from .forms import BinaryForm, RealQuadraticFactor, _integer_coeffs, _poly_mul, _Record, _set
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
@@ -64,6 +64,12 @@ def _horner(coeffs, x):
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+def _float_residual(F, roots):
+    """max |F(r, 1)| over the roots, by float Horner: the RootSet residual."""
+    coeffs = [float(c) for c in F.coeffs]
+    return max(abs(_horner(coeffs, r)) for r in roots)
 
 
 def _root_magnitude_bound(coeffs):
@@ -182,10 +188,7 @@ class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
 
     @classmethod
     def of_form(cls, F):
-        den = 1
-        for c in F.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return cls([int(c * den) for c in F.coeffs], den)
+        return cls(*_integer_coeffs(F))
 
     def derivative(self):
         n = len(self.ints) - 1
@@ -414,11 +417,7 @@ def pair_conjugates(roots, tol=1e-8, form=None):
         rep = (r + match.conjugate()) / 2
         pairs.append(PointH2(rep.real, rep.imag))
     pairs.sort(key=lambda p: (p.x, p.y))
-    residual = 0.0
-    if form is not None:
-        coeffs = [float(c) for c in form.coeffs]
-        residual = max(abs(_horner(coeffs, r)) for r in roots)
-    return RootSet(tuple(pairs), residual)
+    return RootSet(tuple(pairs), 0.0 if form is None else _float_residual(form, roots))
 
 
 def _poly_derivative(p):
@@ -550,8 +549,7 @@ def certified_roots(F, tol=1e-10):
     _certify(F, _IntegerPoly.of_form(F), roots, tol)
     roots.sort(key=lambda r: (r.real, r.imag))
     pairs.sort(key=lambda p: (p.x, p.y))
-    coeffs = [float(c) for c in F.coeffs]
-    return roots, RootSet(pairs, max(abs(_horner(coeffs, r)) for r in roots))
+    return roots, RootSet(pairs, _float_residual(F, roots))
 
 
 def root_set(F, tol=1e-10):

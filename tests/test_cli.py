@@ -38,12 +38,36 @@ REDUCE_GOLDEN = json.loads(
 # byte on the worked sextic and the rational-coefficient sextic above
 ZERO_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "zero_golden.json").read_text())
+# `formred batch` stdout, JSONL and CSV under each method, recorded byte for
+# byte on one input: the worked sextic, the rational-coefficient sextic, the
+# first six forms of the benchmark's accept-both and exact-centroid corpora
+# (seed 1), REPEATED_ARG, UNCERTIFIED_ARG, a blank line, a real-root, an
+# odd-degree, an unparsable and a coefficient-less line
+BATCH_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "batch_golden.json").read_text())
+# `formred geodata` stdout under each method, recorded byte for byte on the
+# worked sextic, REPEATED_ARG and the rational-coefficient sextic
+GEODATA_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "geodata_golden.json").read_text())
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def complex_roots_calls(monkeypatch):
+    """The argument tuples of every formred.roots.complex_roots call, in order."""
+    calls, complex_roots = [], formred.roots.complex_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return complex_roots(*args, **kwargs)
+
+    monkeypatch.setattr(formred.roots, "complex_roots", counting)
+    return calls
 
 
 @pytest.fixture
@@ -265,6 +289,48 @@ class TestBatch:
         _, second, _ = run(capsys, "batch", "--input", str(path))
         assert first == second
 
+    @pytest.mark.parametrize("case", BATCH_GOLDEN["cases"],
+                             ids=[c["name"] for c in BATCH_GOLDEN["cases"]])
+    def test_output_bytes(self, capsys, tmp_path, case):
+        path = tmp_path / "forms.txt"
+        path.write_text(BATCH_GOLDEN["input"])
+        assert run(capsys, *case["argv"], "--input", str(path)) == (0, case["stdout"], "")
+
+    def test_blank_ids_get_the_line_number(self, capsys, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_text(f"demo,{SEXTIC_ARG}\n,1,0,1\n\n,\n")
+        code, out, _ = run(capsys, "batch", "--input", str(path))
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [
+            ("demo", "ok"), ("2", "ok"), ("4", "parse_error")]
+        assert summary["records"] == 3
+
+    def test_records_are_printed_as_they_are_built(self, capsys, monkeypatch):
+        printed = []
+
+        def stdin():
+            yield f"first,{SEXTIC_ARG}\n"
+            printed.append(capsys.readouterr().out)
+            yield "second,1,0,1\n"
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        code, rest, _ = run(capsys, "batch", "--input", "-", "--format", "csv")
+        assert code == 0
+        assert printed[0].splitlines()[1].startswith("first,ok,6,43940,12740")
+        assert rest.splitlines()[0].startswith("second,ok,2")
+
+    @pytest.mark.parametrize("form", [SEXTIC_ARG, REPEATED_ARG])
+    def test_both_methods_solve_roots_as_compare_methods_does(self, capsys, tmp_path,
+                                                             complex_roots_calls, form):
+        path = tmp_path / "forms.txt"
+        path.write_text(f"demo,{form}\n")
+        assert run(capsys, "batch", "--input", str(path), "--method", "both")[0] == 0
+        batch_calls = len(complex_roots_calls)
+        complex_roots_calls.clear()
+        formred.compare_methods(formred.parse(form))
+        assert batch_calls == len(complex_roots_calls) > 0
+
 
 class TestGeodata:
     def test_structure(self, capsys):
@@ -291,6 +357,10 @@ class TestGeodata:
         assert len(payload["roots"]) == 8 and len(payload["pairs"]) == 4
         assert payload["zeros"]["centroid"]["exact_t"] == "443/47"
         assert payload["reduction"]["matrix"] == [[-19, -9], [-2, -1]]
+
+    @pytest.mark.parametrize("case", GEODATA_GOLDEN, ids=[c["name"] for c in GEODATA_GOLDEN])
+    def test_output_bytes(self, capsys, case):
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
 
 
 class TestParserReuse:
