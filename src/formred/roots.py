@@ -5,9 +5,16 @@ deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
 offset), then polished root-by-root with Newton steps.  Estimates closer than
 the clustering radius are merged to their mean, which recovers accuracy for
 multiple roots.  Forms with a numerically real root are rejected loudly: the
-downstream center-of-mass formulas divide by the imaginary parts.  When the
-roots of a form with a repeated factor fail to certify or to pair, the form is
-split exactly into its square-free parts (Yun), and each part is solved alone.
+downstream center-of-mass formulas divide by the imaginary parts.
+
+A cluster of estimates that fails the integrity certificates is resolved in
+this order.  A form with a repeated factor (a modular square-free test, then
+Yun's exact square-free decomposition) is split into its square-free parts,
+each part is solved alone, and the certificates are checked on the whole form.
+A square-free form is zoomed into: re-solved in exact coordinates recentred on
+the cluster.  Should the split fail, the zoom is the last resort for a form
+with a repeated factor too.  A form with a repeated factor whose roots fail to
+certify or to pair without a cluster is split the same way.
 
 Certification and the final Newton steps evaluate the form exactly at each
 float iterate.  A float is dyadic, so with the form's denominators cleared once
@@ -347,12 +354,40 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     return _refine(poly, dpoly, coeffs, deriv, back)
 
 
+class _RepeatedFactor(ConvergenceFailure):
+    """A root cluster that needs resolving, on a form with a repeated factor.
+
+    Carries the form's square-free parts, [(P, i), ...] as square_free_parts
+    gives them, so that certified_roots can solve them without a second split.
+    """
+
+    def __init__(self, parts):
+        super().__init__("root cluster at a repeated factor; multiplicities "
+                         f"{[i for _, i in parts]}")
+        self.parts = parts
+
+
 def complex_roots(F, tol=1e-10, max_iter=200):
     """All n roots of F(X, 1), multiplicities included, deterministically ordered.
 
     Residual contract: |F(r, 1)| / (height * (1 + |r|)^n) <= tol for every root,
     with the polynomial value computed in exact arithmetic; the first two power
     sums must also match their exact coefficient values.
+
+    When the first solve leaves a cluster of estimates that fails the integrity
+    certificates, a form with a repeated factor raises a ConvergenceFailure
+    instead of zooming: its exact square-free split resolves the cluster, and
+    certified_roots catches the error and solves the parts.  Clusters of
+    distinct roots are zoomed into.
+    """
+    return _roots(F, tol, max_iter, split=True)
+
+
+def _roots(F, tol=1e-10, max_iter=200, split=False):
+    """complex_roots, with the repeated-factor check only when split is true.
+
+    certified_roots solves square-free parts and its zoom fallback here, not
+    through the complex_roots name, so complex_roots runs once per form.
     """
     n = F.degree
     poly = _IntegerPoly.of_form(F)
@@ -363,11 +398,17 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     xs = [_newton_polish(coeffs, deriv, x) for x in xs]
     xs = _refine(poly, dpoly, coeffs, deriv, xs)
     # clusters of nearby roots are exactly where double precision runs out;
-    # zoom into each and keep the result when the integrity certificates improve
+    # a repeated factor is split off exactly, otherwise zoom into each cluster
+    # and keep the result when the integrity certificates improve
     quality = max(_conjugate_defect(xs), _power_sum_defect(F, xs))
     for group in _groups(xs, _ZOOM_GROUP_RADIUS):
         if len(group) < 2 or quality <= 1e-12:
             continue
+        if split:
+            parts = square_free_parts(F)
+            if len(parts) > 1 or parts[0][1] > 1:
+                raise _RepeatedFactor(parts)
+            split = False
         zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group, max_iter)
         if zoomed is None:
             continue
@@ -517,28 +558,14 @@ def square_free_parts(F):
 
 
 def _solve(F, tol):
-    roots = complex_roots(F, tol=tol)
+    roots = _roots(F, tol=tol)
     return roots, pair_conjugates(roots, form=F)
 
 
-def certified_roots(F, tol=1e-10):
-    """(roots, RootSet) of F: its n roots, sorted as complex_roots sorts them,
-    and their conjugate pairs in the upper half-plane.
-
-    When the direct solve fails to certify or to pair and F has a repeated
-    factor, F is split exactly into square-free parts P_i of multiplicity i;
-    each part is solved on its own, its roots and pairs repeated i times, and
-    the power-sum and exact-residual certificates are checked on F itself.
-    A square-free F re-raises the direct solve's error; a linear part is a
-    real root.
-    """
-    try:
-        return _solve(F, tol)
-    except (ConvergenceFailure, UnpairedRoot):
-        parts = square_free_parts(F)
-        if len(parts) == 1 and parts[0][1] == 1:
-            raise
-    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+def _split(F, parts, tol):
+    """certified_roots from the square-free parts [(P, i), ...] of F: each part
+    solved alone, its roots and pairs repeated i times, then the certificates
+    checked on F itself."""
     roots, pairs = [], []
     for P, i in parts:
         if len(P) == 2:
@@ -550,6 +577,43 @@ def certified_roots(F, tol=1e-10):
     roots.sort(key=lambda r: (r.real, r.imag))
     pairs.sort(key=lambda p: (p.x, p.y))
     return roots, RootSet(pairs, _float_residual(F, roots))
+
+
+def certified_roots(F, tol=1e-10):
+    """(roots, RootSet) of F: its n roots, sorted as complex_roots sorts them,
+    and their conjugate pairs in the upper half-plane.
+
+    F is solved by complex_roots.  When that meets a root cluster on a form with
+    a repeated factor, F is split exactly into square-free parts P_i of
+    multiplicity i; each part is solved on its own, its roots and pairs
+    repeated i times, and the power-sum and exact-residual certificates are
+    checked on F itself.  Should the split fail, F is solved directly with the
+    cluster zoomed into, as for a square-free form; should that fail too, the
+    split's error is raised.  When the direct solve fails to certify or to pair
+    and F has a repeated factor, F is split the same way.  A square-free F
+    re-raises the direct solve's error; a linear part is a real root.
+    """
+    try:
+        roots = complex_roots(F, tol=tol)
+        return roots, pair_conjugates(roots, form=F)
+    except _RepeatedFactor as cluster:
+        _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
+               F, [i for _, i in cluster.parts])
+        try:
+            return _split(F, cluster.parts, tol)
+        except (ConvergenceFailure, UnpairedRoot) as exc:
+            _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
+            split_error = exc
+        try:
+            return _solve(F, tol)
+        except (ConvergenceFailure, UnpairedRoot):
+            raise split_error from None
+    except (ConvergenceFailure, UnpairedRoot):
+        parts = square_free_parts(F)
+        if len(parts) == 1 and parts[0][1] == 1:
+            raise
+    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+    return _split(F, parts, tol)
 
 
 def root_set(F, tol=1e-10):

@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 import random
 from fractions import Fraction
@@ -507,3 +508,86 @@ class TestCertifiedRoots:
         monkeypatch.setattr(formred.roots, "complex_roots", failing_on_f)
         with pytest.raises(RealRootDetected, match="multiplicity 2"):
             certified_roots(F)
+
+
+# exact-centroid corpus form (perfbench, seed 1, #29): a quadratic times a
+# squared quadratic, whose first solve leaves a root cluster
+REPEATED_CLUSTER = (1, -4, 14, -24, 57, -36, 76, -16, 32)
+# accept-both corpus form (seed 1, #65): square-free, degree 8, clustered
+SQUARE_FREE_CLUSTER = (19986816, -128350500, 360638120, -579094759, 581232096,
+                       -373397503, 149939175, -34408254, 3454857)
+
+
+def failing_split(F, parts, tol):
+    raise ConvergenceFailure("split failed")
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of the complex_roots and _zoom_solve calls made from here on."""
+    calls = {"complex_roots": 0, "_zoom_solve": 0}
+    for name in calls:
+        def counting(*args, _name=name, _solve=getattr(formred.roots, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(formred.roots, name, counting)
+    return calls
+
+
+class TestClusterPolicy:
+    """A root cluster from a repeated factor is split exactly, not zoomed into."""
+
+    def test_repeated_factor_cluster_is_split_not_zoomed(self, solver_calls):
+        assert [i for _, i in square_free_parts(BinaryForm(REPEATED_CLUSTER))] == [1, 2]
+        report = formred.reduce_form(BinaryForm(REPEATED_CLUSTER), method="centroid")
+        assert formred.reduce.reduced_zero_matches(report)
+        assert solver_calls == {"complex_roots": 1, "_zoom_solve": 0}
+
+    def test_complex_roots_leaves_the_split_to_certified_roots(self):
+        F = BinaryForm(REPEATED_CLUSTER)
+        with pytest.raises(ConvergenceFailure, match="repeated factor"):
+            complex_roots(F)
+        roots, rs = certified_roots(F)
+        assert len(roots) == 8
+        assert sorted(rs.pairs.count(p) for p in rs.pairs) == [1, 1, 2, 2]
+
+    def test_square_free_cluster_still_zooms(self, solver_calls):
+        F = BinaryForm(SQUARE_FREE_CLUSTER)
+        assert square_free_parts(F) == [([Fraction(c, F.coeffs[0]) for c in F.coeffs], 1)]
+        formred.compare_methods(F)
+        assert solver_calls["_zoom_solve"] > 0
+
+    def test_failed_split_falls_back_to_the_zoom(self, monkeypatch, solver_calls):
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        F = BinaryForm(REPEATED_CLUSTER)
+        roots, rs = certified_roots(F)
+        assert solver_calls["complex_roots"] == 1 and solver_calls["_zoom_solve"] > 0
+        assert roots == formred.roots._roots(F)
+        assert rs == pair_conjugates(roots, form=F)
+
+    def test_failed_split_and_zoom_raise_the_split_error(self, monkeypatch):
+        def failing_certificate(*args):
+            raise ConvergenceFailure("zoom failed")
+
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        monkeypatch.setattr(formred.roots, "_certify", failing_certificate)
+        with pytest.raises(ConvergenceFailure, match="^split failed$"):
+            certified_roots(BinaryForm(REPEATED_CLUSTER))
+
+    def test_one_debug_record_per_decision(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        certified_roots(BinaryForm(REPEATED_CLUSTER))
+        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+        assert len(decisions) == 1
+        assert decisions[0].startswith("split at a repeated-factor cluster of ")
+        assert decisions[0].endswith("into multiplicities [1, 2]")
+
+        caplog.clear()
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        certified_roots(BinaryForm(REPEATED_CLUSTER))
+        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+        assert len(decisions) == 2
+        assert decisions[0].startswith("split at a repeated-factor cluster of ")
+        assert decisions[1].startswith("zoom fallback after a failed split of ")
+        assert decisions[1].endswith(": split failed")
