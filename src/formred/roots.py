@@ -9,8 +9,9 @@ downstream center-of-mass formulas divide by the imaginary parts.
 
 A cluster of estimates that fails the integrity certificates is resolved in
 this order.  A form with a repeated factor (a modular square-free test, then
-Yun's exact square-free decomposition) is split into its square-free parts,
-each part is solved alone, and the certificates are checked on the whole form.
+Yun's exact square-free decomposition, run on Python ints by primitive
+remainder sequences) is split into its square-free parts, each part is
+solved alone, and the certificates are checked on the whole form.
 A square-free form is zoomed into: re-solved in exact coordinates recentred on
 the cluster.  Should the split fail, the zoom is the last resort for a form
 with a repeated factor too.  A form with a repeated factor whose roots fail to
@@ -188,6 +189,11 @@ def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
     return best
 
 
+def _derivative(ints):
+    n = len(ints) - 1
+    return [c * (n - i) for i, c in enumerate(ints[:-1])]
+
+
 class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
     """A polynomial as integer coefficients (descending) over one positive denominator."""
 
@@ -198,8 +204,7 @@ class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
         return cls(*_integer_coeffs(F))
 
     def derivative(self):
-        n = len(self.ints) - 1
-        return _IntegerPoly([c * (n - i) for i, c in enumerate(self.ints[:-1])], self.den)
+        return _IntegerPoly(_derivative(self.ints), self.den)
 
 
 def _dyadic(x):
@@ -461,31 +466,61 @@ def pair_conjugates(roots, tol=1e-8, form=None):
     return RootSet(tuple(pairs), 0.0 if form is None else _float_residual(form, roots))
 
 
-def _poly_derivative(p):
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
+def _primitive(ints):
+    """A non-zero integer polynomial over its content."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _poly_divmod(u, v):
-    """Quotient and remainder of u by v (descending Fraction lists; [] is zero)."""
+def _pseudo_remainder(u, v):
+    """A non-zero rational multiple of the remainder of u by v (integer
+    polynomials, deg u >= deg v), leading zeros dropped.  A step multiplies
+    u by v's leading coefficient only when that coefficient does not divide
+    the term to eliminate."""
     u = list(u)
-    q = []
-    for k in range(len(u) - len(v) + 1):
-        f = u[k] / v[0]
-        q.append(f)
-        if f:
-            for j in range(1, len(v)):
-                u[k + j] -= f * v[j]
-    r = u[len(q):]
+    lc, m = v[0], len(v)
+    for k in range(len(u) - m + 1):
+        f = u[k]
+        if not f:
+            continue
+        q, r = divmod(f, lc)
+        if r:
+            for j in range(k + 1, len(u)):
+                u[j] *= lc
+            q = f
+        for j in range(1, m):
+            u[k + j] -= q * v[j]
+    r = u[len(u) - m + 1:]
     while r and not r[0]:
         r.pop(0)
-    return q, r
+    return r
 
 
-def _monic_gcd(u, v):
+def _primitive_gcd(u, v):
+    """A primitive gcd, unique up to sign, of the integer polynomials u
+    (primitive) and v (deg v < deg u; [] is zero): the primitive remainder
+    sequence, each pseudo-remainder over its content (G. E. Collins, J. ACM
+    14, 1967)."""
     while v:
-        u, v = v, _poly_divmod(u, v)[1]
-    return [c / u[0] for c in u]
+        v = _primitive(v)
+        u, v = v, _pseudo_remainder(u, v)
+    return u
+
+
+def _exact_quotient(u, v):
+    """u / v for integer polynomials where v divides u over the integers ([]
+    is zero).  By Gauss's lemma that holds whenever v is primitive and divides
+    u over the rationals."""
+    u = list(u)
+    lc, m = v[0], len(v)
+    q = []
+    for k in range(len(u) - m + 1):
+        c = u[k] // lc
+        q.append(c)
+        if c:
+            for j in range(1, m):
+                u[k + j] -= c * v[j]
+    return q
 
 
 def _poly_sub(u, v):
@@ -508,11 +543,10 @@ def _square_free_mod_prime(ints):
     leading coefficient, so a square factor of f would survive the reduction.
     False is inconclusive."""
     p = _PRIME
-    n = len(ints) - 1
     if ints[0] % p == 0:
         return False
     u = [c % p for c in ints]
-    v = [c * (n - i) % p for i, c in enumerate(ints[:-1])]
+    v = [c % p for c in _derivative(ints)]
     while v and v[0] == 0:
         v.pop(0)
     while v:
@@ -536,30 +570,29 @@ def square_free_parts(F):
     square-free polynomial of positive degree (descending Fraction
     coefficients) and the P pairwise coprime; a square-free F gives
     [(F / c_0, 1)].  D. Y. Y. Yun, SYMSAC '76.  A form shown square-free
-    modulo a prime skips the gcds over the rationals.
+    modulo a prime skips the gcds.  Otherwise Yun's loop runs on the
+    primitive integer multiple f of F: gcds by primitive remainder sequences
+    (G. E. Collins, J. ACM 14, 1967) and exact integer quotients, for every
+    divisor is primitive; only the parts are made monic over the rationals.
     """
-    f = [Fraction(c, F.coeffs[0]) for c in F.coeffs]
-    if _square_free_mod_prime(_IntegerPoly.of_form(F).ints):
-        return [(f, 1)]
-    df = _poly_derivative(f)
-    g = _monic_gcd(f, df)
-    b, c = _poly_divmod(f, g)[0], _poly_divmod(df, g)[0]
-    d = _poly_sub(c, _poly_derivative(b))
+    ints = _IntegerPoly.of_form(F).ints
+    if _square_free_mod_prime(ints):
+        return [([Fraction(c, F.coeffs[0]) for c in F.coeffs], 1)]
+    f = _primitive(ints)
+    df = _derivative(f)
+    g = _primitive_gcd(f, df)
+    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    d = _poly_sub(c, _derivative(b))
     parts = []
     i = 1
     while len(b) > 1:
-        a = _monic_gcd(b, d)
-        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
-        d = _poly_sub(c, _poly_derivative(b))
+        a = _primitive_gcd(b, d)
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        d = _poly_sub(c, _derivative(b))
         if len(a) > 1:
-            parts.append((a, i))
+            parts.append(([Fraction(x, a[0]) for x in a], i))
         i += 1
     return parts
-
-
-def _solve(F, tol):
-    roots = _roots(F, tol=tol)
-    return roots, pair_conjugates(roots, form=F)
 
 
 def _split(F, parts, tol):
@@ -570,9 +603,9 @@ def _split(F, parts, tol):
     for P, i in parts:
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
-        part_roots, part_pairs = _solve(BinaryForm(tuple(P)), tol)
+        part_roots = _roots(BinaryForm(tuple(P)), tol=tol)
         roots += part_roots * i
-        pairs += part_pairs.pairs * i
+        pairs += pair_conjugates(part_roots).pairs * i
     _certify(F, _IntegerPoly.of_form(F), roots, tol)
     roots.sort(key=lambda r: (r.real, r.imag))
     pairs.sort(key=lambda p: (p.x, p.y))
@@ -605,7 +638,8 @@ def certified_roots(F, tol=1e-10):
             _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
             split_error = exc
         try:
-            return _solve(F, tol)
+            roots = _roots(F, tol=tol)
+            return roots, pair_conjugates(roots, form=F)
         except (ConvergenceFailure, UnpairedRoot):
             raise split_error from None
     except (ConvergenceFailure, UnpairedRoot):

@@ -4,9 +4,11 @@ All randomized tests draw from random.Random with fixed seeds so runs are
 reproducible; the acceptance suite documents its seeds here.
 """
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,13 @@ SEXTIC_T = Fraction(230, 61)
 SEXTIC_U_SQ = Fraction(83496, 3721)
 
 ACCEPTANCE_SEED = 20250808
+
+# the benchmark's seeded corpus generators, loaded from their file:
+# nothing under perfbench/ is imported as a package or changed
+_CORPORA_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_corpora", Path(__file__).resolve().parents[1] / "perfbench" / "corpora.py")
+corpora = importlib.util.module_from_spec(_CORPORA_SPEC)
+_CORPORA_SPEC.loader.exec_module(corpora)
 
 
 @pytest.fixture

@@ -4,26 +4,22 @@ perfbench refuses a change under which a larger share of its operations
 fails.  These tests push the first 100 forms of each gated corpus, seeds 1 to
 3, through the same entry calls, so a solver change that adds failures fails
 here before it reaches the benchmark.  The `slow` tests do the same for the
-full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`).  A
-few single corpus forms pin the root solver's repeated-factor paths.
-perfbench/corpora.py is loaded from its file; nothing under perfbench/ is
-imported as a package or changed.
+full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`).  The
+ungated hard corpus is pinned too, in `slow`: the same forms reduce, to the
+same bytes.  A few single corpus forms pin the root solver's repeated-factor
+paths.  perfbench/corpora.py is loaded from its file (see conftest); nothing
+under perfbench/ is imported as a package or changed.
 """
 
-import importlib.util
+import hashlib
 import json
 import logging
-from pathlib import Path
 
 import pytest
 
 import formred
+from conftest import corpora
 from formred.cli import main
-
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_corpora", Path(__file__).resolve().parents[1] / "perfbench" / "corpora.py")
-corpora = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(corpora)
 
 SEEDS = (1, 2, 3)
 COUNT = 100
@@ -73,6 +69,47 @@ def test_full_accept_both_reduces_every_form(seed):
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_full_exact_centroid_cli_reduces_every_form(capsys, seed):
     assert exact_centroid_cli_failures(capsys, seed, FULL_COUNT["exact-centroid"]) == []
+
+
+# hard-scramble, 150 forms per seed (the corpus of a 50 s run), recorded while
+# the square-free split still ran on Fractions: the forms that reduce, and the
+# sha256 of one line per form in corpus order, the report's JSON or
+# "failure <class>", as perfbench digests a pass
+HARD_SCRAMBLE = {
+    1: ({
+        0, 1, 2, 4, 6, 7, 9, 12, 18, 24, 25, 30, 31, 33, 36, 40, 42, 43, 44, 45, 46, 48, 49,
+        54, 55, 60, 61, 70, 72, 74, 78, 85, 88, 91, 93, 96, 97, 104, 105, 112, 114, 115,
+        117, 120, 121, 123, 128, 129, 131, 132, 138, 139, 140, 141, 144, 145, 146, 147},
+        "4d6cfc9ed66def85765a1593155848ec9cf157648ce9e88b293dd3984589d1d8"),
+    2: ({
+        0, 1, 3, 4, 6, 7, 8, 12, 13, 18, 19, 20, 22, 24, 28, 30, 31, 32, 36, 37, 38, 40, 41,
+        42, 43, 44, 46, 49, 50, 52, 53, 58, 59, 60, 67, 71, 72, 73, 76, 78, 79, 81, 84, 85,
+        86, 89, 90, 96, 98, 102, 103, 108, 109, 110, 114, 115, 118, 121, 126, 127, 128, 133,
+        134, 138, 139, 142, 143, 145, 147},
+        "c9fa27121643fc5a45ef80b07404851b6e206a8541819e58fba2f06762ca43ef"),
+    3: ({
+        3, 6, 7, 8, 12, 13, 14, 18, 19, 20, 23, 24, 30, 33, 34, 35, 36, 37, 40, 42, 43, 49,
+        50, 51, 54, 55, 57, 59, 60, 62, 66, 69, 71, 72, 78, 79, 80, 81, 82, 94, 96, 97, 99,
+        102, 103, 104, 105, 112, 114, 116, 117, 118, 121, 122, 127, 129, 133, 134, 136, 137,
+        138, 143, 144, 146, 147},
+        "21944d5d9897099948bcc70f1f0367c3f4da407d07d4e56af70f09bc0a81b01b"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(HARD_SCRAMBLE))
+def test_hard_scramble_keeps_its_reduced_forms_and_bytes(seed):
+    reducing, digest = HARD_SCRAMBLE[seed]
+    h, reduced = hashlib.sha256(), set()
+    for i, coeffs in enumerate(corpora.generate("hard-scramble", seed, 150)):
+        try:
+            line = formred.reduce_form(formred.BinaryForm(coeffs), method="centroid").to_json()
+            reduced.add(i)
+        except formred.FormReductionError as exc:
+            line = f"failure {type(exc).__name__}"
+        h.update((line + "\n").encode())
+    assert reduced == reducing
+    assert h.hexdigest() == digest
 
 
 def test_failed_split_falls_back_to_the_zoom(caplog):

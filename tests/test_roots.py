@@ -11,6 +11,7 @@ from conftest import (
     SEXTIC_COEFFS,
     SEXTIC_FACTORS,
     SEXTIC_PAIRS,
+    corpora,
     random_integer_factor,
     random_totally_complex_form,
     random_unimodular,
@@ -461,6 +462,107 @@ class TestSquareFreeShortcut:
         p = formred.roots._PRIME
         assert square_free_parts(BinaryForm((p, 0, p))) == [([1, 0, 1], 1)]
         assert square_free_parts(BinaryForm((p, 0, 2 * p, 0, p))) == [([1, 0, 1], 2)]
+
+
+def reference_derivative(p):
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def reference_divmod(u, v):
+    """Quotient and remainder of u by v (descending Fraction lists; [] is zero)."""
+    u = list(u)
+    q = []
+    for k in range(len(u) - len(v) + 1):
+        f = u[k] / v[0]
+        q.append(f)
+        if f:
+            for j in range(1, len(v)):
+                u[k + j] -= f * v[j]
+    r = u[len(q):]
+    while r and not r[0]:
+        r.pop(0)
+    return q, r
+
+
+def reference_monic_gcd(u, v):
+    while v:
+        u, v = v, reference_divmod(u, v)[1]
+    return [c / u[0] for c in u]
+
+
+def reference_sub(u, v):
+    n = max(len(u), len(v))
+    out = [a - b for a, b in zip([0] * (n - len(u)) + u, [0] * (n - len(v)) + v)]
+    while out and not out[0]:
+        out.pop(0)
+    return out
+
+
+def reference_square_free_parts(F):
+    """Reference: Yun's decomposition on Fraction polynomials, monic gcds by
+    Euclid over the rationals, and no modular shortcut."""
+    f = [Fraction(c, F.coeffs[0]) for c in F.coeffs]
+    df = reference_derivative(f)
+    g = reference_monic_gcd(f, df)
+    b, c = reference_divmod(f, g)[0], reference_divmod(df, g)[0]
+    d = reference_sub(c, reference_derivative(b))
+    parts = []
+    i = 1
+    while len(b) > 1:
+        a = reference_monic_gcd(b, d)
+        b, c = reference_divmod(b, a)[0], reference_divmod(d, a)[0]
+        d = reference_sub(c, reference_derivative(b))
+        if len(a) > 1:
+            parts.append((a, i))
+        i += 1
+    return parts
+
+
+def rational_poly(degree):
+    return st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                    min_size=degree + 1, max_size=degree + 1).filter(lambda cs: cs[0] != 0)
+
+
+@st.composite
+def repeated_products(draw):
+    """scale * g * h^k of degree 2 to 20, rational coefficients.  The scale's
+    sign, integer content and factor _PRIME (which leaves the modular test
+    inconclusive) vary."""
+    dh, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    degree = draw(st.integers(max(2, k * dh), 20))
+    g, h = draw(rational_poly(degree - k * dh)), draw(rational_poly(dh))
+    scale = Fraction(draw(st.sampled_from([1, -1])) * draw(st.integers(1, 30))
+                     * draw(st.sampled_from([1, formred.roots._PRIME])), draw(st.integers(1, 12)))
+    return BinaryForm(tuple(scale * c for c in expand([(g, 1), (h, k)])))
+
+
+# hard-scramble (perfbench, seed 1) forms of degree 16 to 20 with a repeated
+# factor: index -> (degree, multiplicity) of each part
+HARD_REPEATED = {
+    4: [(14, 1), (2, 2)],
+    5: [(16, 1), (2, 2)],
+    29: [(12, 1), (4, 2)],
+    33: [(8, 1), (4, 2)],
+    35: [(14, 1), (2, 3)],
+    40: [(4, 1), (4, 2), (2, 3)],
+}
+
+
+class TestIntegerYun:
+    """Yun's loop on ints gives the parts the Fraction reference gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_products())
+    def test_matches_fraction_reference(self, F):
+        assert square_free_parts(F) == reference_square_free_parts(F)
+
+    @pytest.mark.parametrize("index", sorted(HARD_REPEATED))
+    def test_hard_scramble_forms(self, index):
+        F = BinaryForm(corpora.generate("hard-scramble", 1, index + 1)[index])
+        parts = square_free_parts(F)
+        assert parts == reference_square_free_parts(F)
+        assert [(len(P) - 1, i) for P, i in parts] == HARD_REPEATED[index]
 
 
 class TestCertifiedRoots:
