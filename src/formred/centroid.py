@@ -28,6 +28,7 @@ It is the package's only numpy user and imports numpy when called.
 import math
 from fractions import Fraction
 
+from .forms import _left_sum
 from .hyperbolic import (
     HyperboloidPoint,
     PointH2,
@@ -55,8 +56,8 @@ def psi(xs, ys):
         raise ValueError("psi needs two equally long, nonempty vectors")
     if any(not y > 0 for y in ys):
         raise ValueError("psi needs positive weights y_j")
-    num = sum(x / y for x, y in zip(xs, ys))
-    den = sum(1 / y for y in ys)
+    num = _left_sum(x / y for x, y in zip(xs, ys))
+    den = _left_sum(1 / y for y in ys)
     return num / den
 
 
@@ -174,13 +175,13 @@ def alt_center_presentation(factors):
                 out *= d[k]
         return out
 
-    s = sum(prod_except({i}) for i in range(r))
-    t = -sum(a[i] * prod_except({i}) for i in range(r)) / (2.0 * s)
+    s = _left_sum(prod_except({i}) for i in range(r))
+    t = -_left_sum(a[i] * prod_except({i}) for i in range(r)) / (2.0 * s)
     pair_sum = 0.0
     for i in range(r):
         for j in range(i + 1, r):
             pair_sum += prod_except({i, j}) * (a[i] - a[j]) ** 2
-    u_sq = prod_except(set()) * (s * sum(d) + pair_sum) / (4.0 * s * s)
+    u_sq = prod_except(set()) * (s * _left_sum(d) + pair_sum) / (4.0 * s * s)
     return PointH2(t, math.sqrt(u_sq))
 
 
@@ -189,9 +190,9 @@ def center_of_mass_hyperboloid(points):
     points = list(points)
     if not points:
         raise ValueError("need at least one point")
-    s1 = sum(p.x1 for p in points)
-    s2 = sum(p.x2 for p in points)
-    s3 = sum(p.x3 for p in points)
+    s1 = _left_sum(p.x1 for p in points)
+    s2 = _left_sum(p.x2 for p in points)
+    s3 = _left_sum(p.x3 for p in points)
     norm_sq = minkowski((s1, s2, s3), (s1, s2, s3))
     if not norm_sq > 0:
         raise ValueError("summed point has nonpositive Minkowski norm")
@@ -201,7 +202,7 @@ def center_of_mass_hyperboloid(points):
 
 def sum_cosh(center, points):
     """sum_j cosh d(center, p_j) for half-plane points; the minimized quantity."""
-    return sum(
+    return _left_sum(
         1.0 + ((center.x - p.x) ** 2 + (center.y - p.y) ** 2) / (2.0 * center.y * p.y)
         for p in points
     )

@@ -206,6 +206,16 @@ def evaluate(F, x, z):
     return total
 
 
+def _left_sum(values):
+    """sum(values) added left to right, as the built-in sum adds floats before
+    Python 3.12; from 3.12 on it compensates their rounding, which would give
+    the float results here different bits under different interpreters."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _poly_mul(u, v):
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):

@@ -24,7 +24,7 @@ import math
 
 from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
-from .forms import _Record, _set
+from .forms import _left_sum, _Record, _set
 from .hyperbolic import PointH2, PointH3
 from .roots import RootSet, _debug, root_set
 
@@ -80,9 +80,9 @@ def q_f(weights, roots):
     roots = [complex(r) for r in roots]
     if len(t) != len(roots):
         raise ValueError("need as many weights as roots")
-    a = sum(t)
+    a = _left_sum(t)
     b = sum(ti * r.conjugate() for ti, r in zip(t, roots))
-    c = sum(ti * (r.real * r.real + r.imag * r.imag) for ti, r in zip(t, roots))
+    c = _left_sum(ti * (r.real * r.real + r.imag * r.imag) for ti, r in zip(t, roots))
     return HermitianForm(a, b, c)
 
 
@@ -286,7 +286,7 @@ def julia_zero(roots, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
         raise ValueError("need at least two roots")
     if start is None:
         mean = sum(roots) / len(roots)
-        spread = math.sqrt(sum(abs(r - mean) ** 2 for r in roots) / len(roots))
+        spread = math.sqrt(_left_sum(abs(r - mean) ** 2 for r in roots) / len(roots))
         if spread == 0:
             raise ValueError("need at least two distinct roots")
         start = PointH3(mean, spread)

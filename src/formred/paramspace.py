@@ -12,7 +12,7 @@ import math
 
 from .errors import DegenerateCombination, NotPositiveDefinite
 from .hyperbolic import PointH2, PointH3
-from .forms import UnimodularMatrix, _Record, _set
+from .forms import UnimodularMatrix, _left_sum, _Record, _set
 
 _NEG_TOL = 1e-9
 
@@ -215,12 +215,12 @@ def convex_combination(weights, forms):
     forms = list(forms)
     if len(weights) != len(forms) or not forms:
         raise ValueError("need equally many weights and forms, at least one each")
-    total = sum(weights)
+    total = _left_sum(weights)
     if any(w < -1e-12 for w in weights) or abs(total - 1) > 1e-9:
         raise ValueError("weights must be nonnegative and sum to 1")
-    a = sum(w * q.a for w, q in zip(weights, forms))
-    b = sum(w * q.b for w, q in zip(weights, forms))
-    c = sum(w * q.c for w, q in zip(weights, forms))
+    a = _left_sum(w * q.a for w, q in zip(weights, forms))
+    b = _left_sum(w * q.b for w, q in zip(weights, forms))
+    c = _left_sum(w * q.c for w, q in zip(weights, forms))
     out = PosDefQuadratic(a, b, c)
     if not out.is_positive_definite:
         raise DegenerateCombination("combination collapses onto one boundary point")

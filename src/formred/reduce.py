@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import centroid as _centroid
 from .errors import FormParseError, RealRootDetected
-from .forms import _Record, _set, normalized_height, transform
+from .forms import _left_sum, _Record, _set, normalized_height, transform
 from .hyperbolic import (
     PointH2,
     dist_h2,
@@ -163,8 +163,8 @@ def zero_point(F, method="centroid", tol=1e-10, rootset=None):
         zp = ZeroPoint(pt) if exact is None else ZeroPoint(pt, *exact)
         xs = [p.x for p in rs.pairs]
         ys = [p.y for p in rs.pairs]
-        r1 = sum((pt.x - x) / y for x, y in zip(xs, ys))
-        r2 = sum((pt.y * pt.y - _centroid.q_of_t(pt.x, x, y)) / y for x, y in zip(xs, ys))
+        r1 = _left_sum((pt.x - x) / y for x, y in zip(xs, ys))
+        r2 = _left_sum((pt.y * pt.y - _centroid.q_of_t(pt.x, x, y)) / y for x, y in zip(xs, ys))
         diag = {"root_residual": rs.residual, "exact": exact is not None,
                 "system_residuals": [r1, r2]}
         return zp, diag

@@ -2,10 +2,14 @@
 
 Roots are found by the Aberth-Ehrlich simultaneous iteration started on a
 deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
-offset), then polished root-by-root with Newton steps.  Estimates closer than
-the clustering radius are merged to their mean, which recovers accuracy for
-multiple roots.  Forms with a numerically real root are rejected loudly: the
-downstream center-of-mass formulas divide by the imaginary parts.
+offset), then polished root-by-root with Newton steps.  The iteration stops
+when a sweep moves no estimate by more than 1e-14 (relative), after 200
+sweeps, or at the first sweep whose float iterates repeat an earlier sweep's
+bit for bit: from there it only replays a cycle, and the cycle gives at once
+the iterates of the last sweep.  Estimates closer than the clustering radius
+are merged to their mean, which recovers accuracy for multiple roots.  Forms
+with a numerically real root are rejected loudly: the downstream
+center-of-mass formulas divide by the imaginary parts.
 
 A cluster of estimates that fails the integrity certificates is resolved in
 this order.  A form with a repeated factor (a modular square-free test, then
@@ -34,7 +38,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
-from .forms import BinaryForm, RealQuadraticFactor, _integer_coeffs, _poly_mul, _Record, _set
+from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum, _poly_mul,
+                    _Record, _set)
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
@@ -43,6 +48,10 @@ _CLUSTER_RADIUS = 1e-7
 _ZOOM_GROUP_RADIUS = 0.02
 # the zoom centre is a multiple of 2^-_ZOOM_BITS
 _ZOOM_BITS = 24
+# Aberth records its iterate lists for the repeat test only from the first
+# sweep that moves no estimate by more than this: walks still moving faster
+# were never seen to repeat, and recording them costs time
+_REPEAT_WATCH = 1e-10
 
 
 def _debug(logger, msg, *args):
@@ -74,9 +83,18 @@ def _horner(coeffs, x):
     return acc
 
 
+def _float_coeffs(F):
+    """F's coefficients as floats; ConvergenceFailure when one is too large for
+    a float, for every solve and residual here runs in double precision."""
+    try:
+        return [float(c) for c in F.coeffs]
+    except OverflowError:
+        raise ConvergenceFailure("form coefficients leave the float range") from None
+
+
 def _float_residual(F, roots):
     """max |F(r, 1)| over the roots, by float Horner: the RootSet residual."""
-    coeffs = [float(c) for c in F.coeffs]
+    coeffs = _float_coeffs(F)
     return max(abs(_horner(coeffs, r)) for r in roots)
 
 
@@ -90,12 +108,34 @@ def _root_magnitude_bound(coeffs):
     return 2.0 * best if best > 0 else 1.0
 
 
+def _same_bits(xs, ys):
+    """True when the complex lists xs and ys, already equal under ==, also agree
+    in the sign of every zero part: == takes 0.0 and -0.0 for the same float."""
+    return all(math.copysign(1.0, x.real) == math.copysign(1.0, y.real)
+               and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag)
+               for x, y in zip(xs, ys))
+
+
 def _aberth(coeffs, max_iter):
+    """The Aberth-Ehrlich iterates of coeffs (descending floats) after max_iter
+    sweeps, or after the first sweep that moves no estimate by more than 1e-14
+    (relative).
+
+    A sweep is a deterministic function of the iterate list, so once the list
+    after some sweep repeats the list after an earlier one bit for bit, every
+    later sweep replays that cycle and none of them can meet the movement
+    test (R. P. Brent, BIT 20, 1980).  The walk then stops at the first
+    repeat and returns the list of the cycle that sweep max_iter would leave:
+    the same bits as running the remaining sweeps.
+    """
     n = len(coeffs) - 1
     deriv = [coeffs[i] * (n - i) for i in range(n)]
     radius = _root_magnitude_bound(coeffs)
     # fixed phase offset so the start is never conjugation-symmetric
     xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
+    # the lists after sweeps first, first + 1, ..., once one has moved no
+    # more than _REPEAT_WATCH; seen maps a list (under ==) to its position
+    first, trail, seen = None, [], {}
     # Horner for p and p' is written out (the operations of _horner, in its
     # order): at these degrees a call per evaluation costs more than its loop
     for it in range(max_iter):
@@ -129,6 +169,21 @@ def _aberth(coeffs, max_iter):
         if moved <= 1e-14:
             _debug(__name__, "aberth converged in %d iterations", it + 1)
             break
+        if first is None:
+            if not moved <= _REPEAT_WATCH:
+                continue
+            first = it
+        state = tuple(xs)
+        j = seen.get(state)
+        if j is not None and _same_bits(state, trail[j]):
+            # positions j and it - first hold the same list: sweep max_iter
+            # leaves the list at position j + (max_iter - 1 - first - j) mod period
+            period = it - first - j
+            _debug(__name__, "aberth repeats with period %d from iteration %d",
+                   period, first + j + 1)
+            return list(trail[j + (max_iter - 1 - first - j) % period])
+        seen[state] = len(trail)
+        trail.append(state)
     return xs
 
 
@@ -294,8 +349,8 @@ def _power_sum_defect(F, roots):
     s2_true = complex(float((c1 * c1 - 2 * c0 * c2) / (c0 * c0)))
     s1 = sum(roots)
     s2 = sum(r * r for r in roots)
-    scale1 = 1.0 + sum(abs(r) for r in roots)
-    scale2 = 1.0 + sum(abs(r) ** 2 for r in roots)
+    scale1 = 1.0 + _left_sum(abs(r) for r in roots)
+    scale2 = 1.0 + _left_sum(abs(r) ** 2 for r in roots)
     return max(abs(s1 - s1_true) / scale1, abs(s2 - s2_true) / scale2)
 
 
@@ -397,7 +452,7 @@ def _roots(F, tol=1e-10, max_iter=200, split=False):
     n = F.degree
     poly = _IntegerPoly.of_form(F)
     dpoly = poly.derivative()
-    coeffs = [float(c) for c in F.coeffs]
+    coeffs = _float_coeffs(F)
     deriv = [coeffs[i] * (n - i) for i in range(n)]
     xs = _aberth(coeffs, max_iter)
     xs = [_newton_polish(coeffs, deriv, x) for x in xs]
@@ -624,8 +679,10 @@ def certified_roots(F, tol=1e-10):
     cluster zoomed into, as for a square-free form; should that fail too, the
     split's error is raised.  When the direct solve fails to certify or to pair
     and F has a repeated factor, F is split the same way.  A square-free F
-    re-raises the direct solve's error; a linear part is a real root.
+    re-raises the direct solve's error; a linear part is a real root.  A form
+    with a coefficient too large for a float fails at once, split or not.
     """
+    _float_coeffs(F)
     try:
         roots = complex_roots(F, tol=tol)
         return roots, pair_conjugates(roots, form=F)

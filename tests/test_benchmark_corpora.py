@@ -4,11 +4,12 @@ perfbench refuses a change under which a larger share of its operations
 fails.  These tests push the first 100 forms of each gated corpus, seeds 1 to
 3, through the same entry calls, so a solver change that adds failures fails
 here before it reaches the benchmark.  The `slow` tests do the same for the
-full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`).  The
-ungated hard corpus is pinned too, in `slow`: the same forms reduce, to the
-same bytes.  A few single corpus forms pin the root solver's repeated-factor
-paths.  perfbench/corpora.py is loaded from its file (see conftest); nothing
-under perfbench/ is imported as a package or changed.
+full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`), and
+pin their bytes.  The ungated hard corpus is pinned too, in `slow`: the same
+forms reduce, to the same bytes.  A few single corpus forms pin the root
+solver's repeated-factor paths.  perfbench/corpora.py is loaded from its
+file (see conftest); nothing under perfbench/ is imported as a package or
+changed.
 """
 
 import hashlib
@@ -28,47 +29,76 @@ FULL_SEEDS = (1, 2, 3, 4, 5)
 FULL_COUNT = {"accept-both": 1000, "exact-centroid": 1650}
 
 
-def accept_both_failures(seed, count):
-    failures = []
+# the full corpora's sha256 of one line per form in corpus order, the JSON
+# of compare_methods' result or the reduce CLI's stdout, as perfbench digests
+# a pass (its "reports sha256"); recorded before Aberth stopped at exact repeats
+FULL_DIGESTS = {
+    "accept-both": {
+        1: "8c326b333bf3cd3ceabdda0303a759efade501977e788e3220f9fe06d0a0603f",
+        2: "ab98da05d9c7bbf17e79cf663532b3d4383102b3056d4f7d94d2b0cc64534bd5",
+        3: "35fefe22625e8be80f3b02860b496cb5303bf8f95fc53ecaee6d9f7b5cc48bcc",
+        4: "8a42b1051e75ad511d045829323324e5d960e5d6e2eded7ba09206d264cd047a",
+        5: "05f9ea43b12305828eab2d3de73b9fb4f8becaf6e164d1a3f1e53c3494f54444",
+    },
+    "exact-centroid": {
+        1: "8a6a87616127637af61050e1bd13081e74fc46e702e1c965cdad381bbea1555d",
+        2: "6704a511d53ba289e1daa680b6003d27dd88ee202d5dfba38da77e4539fca653",
+        3: "1d0015b89e0146cb964d41fa51c3e4b1740b45a91d39019ee8d6c149670cc601",
+        4: "19650fa03741b017df0eb602806419058076c710180119ba45d4fe7f6af43592",
+        5: "abc3aa188e1c22b42c197d7e56c2c51a384d39f5a0e8721f8d88212833131071",
+    },
+}
+
+
+def accept_both_pass(seed, count):
+    """The failures, and the sha256 of the lines of the forms that reduce."""
+    failures, h = [], hashlib.sha256()
     for i, coeffs in enumerate(corpora.generate("accept-both", seed, count)):
         try:
-            formred.compare_methods(formred.BinaryForm(coeffs))
+            result = formred.compare_methods(formred.BinaryForm(coeffs))
         except formred.FormReductionError as exc:
             failures.append((i, repr(exc)))
-    return failures
+            continue
+        h.update((json.dumps(result.to_dict(), sort_keys=True) + "\n").encode())
+    return failures, h.hexdigest()
 
 
-def exact_centroid_cli_failures(capsys, seed, count):
-    failures = []
+def exact_centroid_cli_pass(capsys, seed, count):
+    """The failures, and the sha256 of the stdout of the forms that reduce."""
+    failures, h = [], hashlib.sha256()
     for i, coeffs in enumerate(corpora.generate("exact-centroid", seed, count)):
         argv = ["reduce", "--coeffs", ",".join(map(str, coeffs)), "--method", "centroid"]
         code = main(argv)
         out, err = capsys.readouterr()
         if code != 0:
             failures.append((i, code, err))
-    return failures
+            continue
+        h.update((out + "\n").encode())
+    return failures, h.hexdigest()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_accept_both_reduces_every_form(seed):
-    assert accept_both_failures(seed, COUNT) == []
+    assert accept_both_pass(seed, COUNT)[0] == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exact_centroid_cli_reduces_every_form(capsys, seed):
-    assert exact_centroid_cli_failures(capsys, seed, COUNT) == []
+    assert exact_centroid_cli_pass(capsys, seed, COUNT)[0] == []
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_full_accept_both_reduces_every_form(seed):
-    assert accept_both_failures(seed, FULL_COUNT["accept-both"]) == []
+    assert accept_both_pass(seed, FULL_COUNT["accept-both"]) == (
+        [], FULL_DIGESTS["accept-both"][seed])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_full_exact_centroid_cli_reduces_every_form(capsys, seed):
-    assert exact_centroid_cli_failures(capsys, seed, FULL_COUNT["exact-centroid"]) == []
+    assert exact_centroid_cli_pass(capsys, seed, FULL_COUNT["exact-centroid"]) == (
+        [], FULL_DIGESTS["exact-centroid"][seed])
 
 
 # hard-scramble, 150 forms per seed (the corpus of a 50 s run), recorded while

@@ -28,6 +28,8 @@ UNCERTIFIED_ARG = ("12879481231461,1043370595706076,38035693887061687,8216754778
                    "11648731601551736482,113240078743956461637,764467819307000782976,"
                    "3538844379615929499156,10750608630599598972808,19353560352678605096256,"
                    "15678381139877300729248")
+# forms with a coefficient too large for a float: a classified failure
+OUT_OF_RANGE_ARGS = [f"{10**400},0,{10**400}", f"1,0,{10**320}"]
 UNPAIRED_MESSAGE = "no conjugate partner for (9.4+0.2j) (closest at distance 1.805e-07)"
 # `formred reduce` stdout recorded byte for byte: the worked sextic, a form with
 # rational coefficients (centroid and both methods) and the first three forms
@@ -136,6 +138,11 @@ class TestReduceCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("error: root multiset fails the power-sum certificate")
+
+    @pytest.mark.parametrize("form", OUT_OF_RANGE_ARGS)
+    def test_out_of_range_exit_code(self, capsys, form):
+        code, out, err = run(capsys, "reduce", "--coeffs", form)
+        assert (code, out, err) == (3, "", "error: form coefficients leave the float range\n")
 
     def test_repeated_factor_form_reduces(self, capsys):
         code, out, _ = run(capsys, "reduce", "--coeffs", REPEATED_ARG)
@@ -276,6 +283,18 @@ class TestBatch:
                                                             ("unpaired", "unpaired_root")]
         assert "conjugate partner" in records[1]["error"]
         assert summary["records"] == 2 and summary["ok"] == 1 and summary["errors"] == 1
+
+    @pytest.mark.parametrize("form", OUT_OF_RANGE_ARGS)
+    def test_out_of_range_line_is_one_record(self, capsys, tmp_path, form):
+        path = tmp_path / "forms.txt"
+        path.write_text(f"unit,1,0,1\nhuge,{form}\nafter,1,2,5\n")
+        code, out, _ = run(capsys, "batch", "--input", str(path))
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [
+            ("unit", "ok"), ("huge", "convergence_failure"), ("after", "ok")]
+        assert records[1]["error"] == "form coefficients leave the float range"
+        assert summary["records"] == 3 and summary["ok"] == 2 and summary["errors"] == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "--input", "/nonexistent/path.txt")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SEXTIC_COEFFS, SEXTIC_FACTORS, SEXTIC_REDUCED, random_unimodular
 from formred.errors import FormParseError, RealRootDetected
 from formred.forms import (
+    _left_sum,
     BinaryForm,
     RealQuadraticFactor,
     UnimodularMatrix,
@@ -366,3 +367,14 @@ def test_record_semantics(cls, args, fields, text, equal_args, hashable):
     assert repr(a) == text
     for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(c) is cls and c == a and repr(c) == text
+
+
+class TestLeftSum:
+    def test_adds_floats_left_to_right(self):
+        # the built-in sum compensates float rounding from Python 3.12 on
+        assert _left_sum([1e16, 1.0, -1e16]) == (1e16 + 1.0) - 1e16 == 0.0
+        assert _left_sum(x for x in [0.1] * 10) == 0.9999999999999999
+
+    def test_exact_values_and_empty(self):
+        assert _left_sum([Fraction(1, 3), Fraction(2, 3), 1]) == 2
+        assert _left_sum([]) == 0

@@ -25,6 +25,7 @@ from formred.forms import (
     height,
     transform,
 )
+import formred.cli
 import formred.roots
 from formred.hyperbolic import PointH2
 from formred.roots import (
@@ -349,6 +350,79 @@ class TestAberthSweep:
                 1.0 / zero
         for tiny in (complex(5e-324, 0.0), complex(-0.0, 5e-324), complex(math.nan, 0.0)):
             assert isinstance(1.0 / tiny, complex)
+
+
+# exact-centroid corpus form (perfbench, seed 1, #3): its Aberth walk repeats
+# with period 12 from sweep 28, so the repeat is found at sweep 40
+CYCLING = (590053, -361582, 83090, -8486, 325)
+
+
+def aberth_records(caplog):
+    return [r for r in caplog.records if r.getMessage().startswith("aberth ")]
+
+
+class TestAberthRepeat:
+    """The sweep stops at its first exact repeat with the bits of max_iter sweeps."""
+
+    def test_repeat_is_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        _aberth(list(map(float, CYCLING)), 200)
+        assert [r.getMessage() for r in aberth_records(caplog)] == [
+            "aberth repeats with period 12 from iteration 28"]
+
+    def test_every_max_iter_around_the_repeat(self, caplog):
+        coeffs = list(map(float, CYCLING))
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        _aberth(coeffs, 200)
+        period, start = aberth_records(caplog)[0].args
+        found = start + period
+        for max_iter in range(found - 2, found + 2 * period + 1):
+            assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+                reference_aberth(coeffs, max_iter)), max_iter
+
+    def test_gated_corpora_calls_match_reference(self, monkeypatch, capsys):
+        calls, aberth = [], formred.roots._aberth
+
+        def recording(coeffs, max_iter):
+            xs = aberth(coeffs, max_iter)
+            calls.append((list(coeffs), max_iter, exact_bits(xs)))
+            return xs
+
+        monkeypatch.setattr(formred.roots, "_aberth", recording)
+        for coeffs in corpora.generate("accept-both", 1, 100):
+            formred.compare_methods(BinaryForm(coeffs))
+        for coeffs in corpora.generate("exact-centroid", 1, 100):
+            argv = ["reduce", "--coeffs", ",".join(map(str, coeffs)), "--method", "centroid"]
+            assert formred.cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) > 200
+        for coeffs, max_iter, got in calls:
+            assert got == exact_bits(reference_aberth(coeffs, max_iter))
+
+    def test_signed_zero_is_not_a_repeat(self):
+        state = (complex(0.0, 1.0), complex(2.0, -0.0))
+        for other in ((complex(-0.0, 1.0), complex(2.0, -0.0)),
+                      (complex(0.0, 1.0), complex(2.0, 0.0))):
+            assert other == state and hash(other) == hash(state)
+            assert not formred.roots._same_bits(state, other)
+        assert formred.roots._same_bits(state, tuple(state))
+
+    def test_rejected_repeat_keeps_sweeping(self, monkeypatch, caplog):
+        # a list equal under == but not bit for bit is no repeat: the walk
+        # goes on, through every sweep, to the reference's bits
+        monkeypatch.setattr(formred.roots, "_same_bits", lambda xs, ys: False)
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        coeffs = list(map(float, CYCLING))
+        assert exact_bits(_aberth(coeffs, 200)) == exact_bits(reference_aberth(coeffs, 200))
+        assert aberth_records(caplog) == []
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("coeffs", [(10**400, 0, 10**400), (1, 0, 10**320),
+                                        (10**400, 0, 2 * 10**400, 0, 10**400)])
+    def test_out_of_range_coefficients_fail_classified(self, coeffs):
+        with pytest.raises(ConvergenceFailure, match="leave the float range"):
+            formred.reduce_form(BinaryForm(coeffs))
 
 
 def reference_rationalize(F, factors, max_denominator=10**6):
