@@ -208,8 +208,9 @@ def evaluate(F, x, z):
 
 def _left_sum(values):
     """sum(values) added left to right, as the built-in sum adds floats before
-    Python 3.12; from 3.12 on it compensates their rounding, which would give
-    the float results here different bits under different interpreters."""
+    Python 3.12 and complex numbers before 3.14; from then on it compensates
+    their rounding, which would give the float results here different bits
+    under different interpreters."""
     total = 0
     for v in values:
         total += v

@@ -81,7 +81,7 @@ def q_f(weights, roots):
     if len(t) != len(roots):
         raise ValueError("need as many weights as roots")
     a = _left_sum(t)
-    b = sum(ti * r.conjugate() for ti, r in zip(t, roots))
+    b = _left_sum(ti * r.conjugate() for ti, r in zip(t, roots))
     c = _left_sum(ti * (r.real * r.real + r.imag * r.imag) for ti, r in zip(t, roots))
     return HermitianForm(a, b, c)
 
@@ -285,7 +285,7 @@ def julia_zero(roots, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
     if len(roots) < 2:
         raise ValueError("need at least two roots")
     if start is None:
-        mean = sum(roots) / len(roots)
+        mean = _left_sum(roots) / len(roots)
         spread = math.sqrt(_left_sum(abs(r - mean) ** 2 for r in roots) / len(roots))
         if spread == 0:
             raise ValueError("need at least two distinct roots")

@@ -11,15 +11,8 @@ are merged to their mean, which recovers accuracy for multiple roots.  Forms
 with a numerically real root are rejected loudly: the downstream
 center-of-mass formulas divide by the imaginary parts.
 
-A cluster of estimates that fails the integrity certificates is resolved in
-this order.  A form with a repeated factor (a modular square-free test, then
-Yun's exact square-free decomposition, run on Python ints by primitive
-remainder sequences) is split into its square-free parts, each part is
-solved alone, and the certificates are checked on the whole form.
-A square-free form is zoomed into: re-solved in exact coordinates recentred on
-the cluster.  Should the split fail, the zoom is the last resort for a form
-with a repeated factor too.  A form with a repeated factor whose roots fail to
-certify or to pair without a cluster is split the same way.
+A cluster of estimates that fails the integrity certificates is resolved by
+the ladder that complex_roots describes.
 
 Certification and the final Newton steps evaluate the form exactly at each
 float iterate.  A float is dyadic, so with the form's denominators cleared once
@@ -311,7 +304,7 @@ def _refine(poly, dpoly, coeffs, deriv, estimates):
     each cluster to full accuracy."""
     out = []
     for members in _groups(estimates, _CLUSTER_RADIUS):
-        value, mult = sum(members) / len(members), len(members)
+        value, mult = _left_sum(members) / len(members), len(members)
         if mult > 1:
             value = _multiple_root_polish(coeffs, deriv, value, mult)
         value = _exact_newton_polish(poly, dpoly, value, multiplicity=mult)
@@ -347,8 +340,8 @@ def _power_sum_defect(F, roots):
     c0, c1, c2 = F.coeffs[0], F.coeffs[1], F.coeffs[2]
     s1_true = complex(float(-c1 / c0))
     s2_true = complex(float((c1 * c1 - 2 * c0 * c2) / (c0 * c0)))
-    s1 = sum(roots)
-    s2 = sum(r * r for r in roots)
+    s1 = _left_sum(roots)
+    s2 = _left_sum(r * r for r in roots)
     scale1 = 1.0 + _left_sum(abs(r) for r in roots)
     scale2 = 1.0 + _left_sum(abs(r) ** 2 for r in roots)
     return max(abs(s1 - s1_true) / scale1, abs(s2 - s2_true) / scale2)
@@ -391,7 +384,7 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     dyadic power makes the cluster well conditioned; the whole root set is
     re-solved in the new coordinates and refined back in the original ones.
     """
-    center = sum(cluster) / len(cluster)
+    center = _left_sum(cluster) / len(cluster)
     diam = max(abs(r - center) for r in cluster)
     if diam == 0:
         return None
@@ -414,19 +407,6 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     return _refine(poly, dpoly, coeffs, deriv, back)
 
 
-class _RepeatedFactor(ConvergenceFailure):
-    """A root cluster that needs resolving, on a form with a repeated factor.
-
-    Carries the form's square-free parts, [(P, i), ...] as square_free_parts
-    gives them, so that certified_roots can solve them without a second split.
-    """
-
-    def __init__(self, parts):
-        super().__init__("root cluster at a repeated factor; multiplicities "
-                         f"{[i for _, i in parts]}")
-        self.parts = parts
-
-
 def complex_roots(F, tol=1e-10, max_iter=200):
     """All n roots of F(X, 1), multiplicities included, deterministically ordered.
 
@@ -434,25 +414,25 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     with the polynomial value computed in exact arithmetic; the first two power
     sums must also match their exact coefficient values.
 
-    When the first solve leaves a cluster of estimates that fails the integrity
-    certificates, a form with a repeated factor raises a ConvergenceFailure
-    instead of zooming: its exact square-free split resolves the cluster, and
-    certified_roots catches the error and solves the parts.  Clusters of
-    distinct roots are zoomed into.
+    One ladder, top to bottom.  A form with a coefficient too large for a float
+    fails at once.  The first solve runs Aberth, the Newton polish and the
+    cluster merge.  At the first group of estimates within the zoom radius
+    while the certificates are unmet, F is tested for a repeated factor (a
+    modular square-free test, then Yun's exact decomposition on Python ints).
+    A form with one is split into its square-free parts P_i of multiplicity i:
+    each part is solved by this function and paired on its own, its roots are
+    repeated i times, and the certificates are checked on F itself.  Clusters
+    of a square-free form, and of a form whose split failed, are zoomed into
+    from the same first-solve estimates: re-solved in exact coordinates
+    recentred on the cluster, kept when the certificates improve.  When the
+    roots then fail to certify, a failed split's error is raised, a form with a
+    repeated factor that was not split yet is split, and a square-free form
+    re-raises.  A linear part is a real root.
     """
-    return _roots(F, tol, max_iter, split=True)
-
-
-def _roots(F, tol=1e-10, max_iter=200, split=False):
-    """complex_roots, with the repeated-factor check only when split is true.
-
-    certified_roots solves square-free parts and its zoom fallback here, not
-    through the complex_roots name, so complex_roots runs once per form.
-    """
+    coeffs = _float_coeffs(F)
     n = F.degree
     poly = _IntegerPoly.of_form(F)
     dpoly = poly.derivative()
-    coeffs = _float_coeffs(F)
     deriv = [coeffs[i] * (n - i) for i in range(n)]
     xs = _aberth(coeffs, max_iter)
     xs = [_newton_polish(coeffs, deriv, x) for x in xs]
@@ -461,23 +441,40 @@ def _roots(F, tol=1e-10, max_iter=200, split=False):
     # a repeated factor is split off exactly, otherwise zoom into each cluster
     # and keep the result when the integrity certificates improve
     quality = max(_conjugate_defect(xs), _power_sum_defect(F, xs))
+    parts = split_error = None
     for group in _groups(xs, _ZOOM_GROUP_RADIUS):
         if len(group) < 2 or quality <= 1e-12:
             continue
-        if split:
+        if parts is None:
             parts = square_free_parts(F)
-            if len(parts) > 1 or parts[0][1] > 1:
-                raise _RepeatedFactor(parts)
-            split = False
+            if not _square_free(parts):
+                _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
+                       F, [i for _, i in parts])
+                try:
+                    return _split(F, parts, tol)
+                except (ConvergenceFailure, UnpairedRoot) as exc:
+                    _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
+                    split_error = exc
         zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group, max_iter)
         if zoomed is None:
             continue
         new_quality = max(_conjugate_defect(zoomed), _power_sum_defect(F, zoomed))
         if new_quality < quality:
             xs, quality = zoomed, new_quality
-    _certify(F, poly, xs, tol)
-    xs.sort(key=lambda r: (r.real, r.imag))
-    return xs
+    try:
+        _certify(F, poly, xs, tol)
+    except ConvergenceFailure:
+        if split_error is not None:
+            raise split_error from None
+        if parts is None:
+            parts = square_free_parts(F)
+        if _square_free(parts):
+            raise
+    else:
+        xs.sort(key=lambda r: (r.real, r.imag))
+        return xs
+    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+    return _split(F, parts, tol)
 
 
 def _certify(F, poly, roots, tol):
@@ -650,66 +647,47 @@ def square_free_parts(F):
     return parts
 
 
+def _square_free(parts):
+    """True when square_free_parts found no repeated factor."""
+    return len(parts) == 1 and parts[0][1] == 1
+
+
 def _split(F, parts, tol):
-    """certified_roots from the square-free parts [(P, i), ...] of F: each part
-    solved alone, its roots and pairs repeated i times, then the certificates
-    checked on F itself."""
-    roots, pairs = [], []
+    """The roots of F from its square-free parts [(P, i), ...]: each part solved
+    by complex_roots and paired alone, its roots repeated i times, then the
+    certificates checked on F itself."""
+    roots = []
     for P, i in parts:
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
-        part_roots = _roots(BinaryForm(tuple(P)), tol=tol)
+        part_roots = complex_roots(BinaryForm(tuple(P)), tol=tol)
+        pair_conjugates(part_roots)
         roots += part_roots * i
-        pairs += pair_conjugates(part_roots).pairs * i
     _certify(F, _IntegerPoly.of_form(F), roots, tol)
     roots.sort(key=lambda r: (r.real, r.imag))
-    pairs.sort(key=lambda p: (p.x, p.y))
-    return roots, RootSet(pairs, _float_residual(F, roots))
+    return roots
 
 
 def certified_roots(F, tol=1e-10):
-    """(roots, RootSet) of F: its n roots, sorted as complex_roots sorts them,
-    and their conjugate pairs in the upper half-plane.
-
-    F is solved by complex_roots.  When that meets a root cluster on a form with
-    a repeated factor, F is split exactly into square-free parts P_i of
-    multiplicity i; each part is solved on its own, its roots and pairs
-    repeated i times, and the power-sum and exact-residual certificates are
-    checked on F itself.  Should the split fail, F is solved directly with the
-    cluster zoomed into, as for a square-free form; should that fail too, the
-    split's error is raised.  When the direct solve fails to certify or to pair
-    and F has a repeated factor, F is split the same way.  A square-free F
-    re-raises the direct solve's error; a linear part is a real root.  A form
-    with a coefficient too large for a float fails at once, split or not.
-    """
-    _float_coeffs(F)
+    """(roots, RootSet) of F: its n roots as complex_roots gives them (see there
+    for how a root cluster is resolved) and their conjugate pairs in the upper
+    half-plane.  A form with a repeated factor whose roots fail to pair is split
+    as complex_roots splits it."""
     try:
         roots = complex_roots(F, tol=tol)
         return roots, pair_conjugates(roots, form=F)
-    except _RepeatedFactor as cluster:
-        _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
-               F, [i for _, i in cluster.parts])
-        try:
-            return _split(F, cluster.parts, tol)
-        except (ConvergenceFailure, UnpairedRoot) as exc:
-            _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
-            split_error = exc
-        try:
-            roots = _roots(F, tol=tol)
-            return roots, pair_conjugates(roots, form=F)
-        except (ConvergenceFailure, UnpairedRoot):
-            raise split_error from None
-    except (ConvergenceFailure, UnpairedRoot):
+    except UnpairedRoot:
         parts = square_free_parts(F)
-        if len(parts) == 1 and parts[0][1] == 1:
+        if _square_free(parts):
             raise
     _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
-    return _split(F, parts, tol)
+    roots = _split(F, parts, tol)
+    return roots, pair_conjugates(roots, form=F)
 
 
 def root_set(F, tol=1e-10):
     """Roots of F paired into the upper half-plane (raises on real roots);
-    see certified_roots for the square-free split of forms with repeated factors."""
+    see complex_roots for the square-free split of forms with repeated factors."""
     return certified_roots(F, tol=tol)[1]
 
 

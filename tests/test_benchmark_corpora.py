@@ -7,9 +7,9 @@ here before it reaches the benchmark.  The `slow` tests do the same for the
 full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`), and
 pin their bytes.  The ungated hard corpus is pinned too, in `slow`: the same
 forms reduce, to the same bytes.  A few single corpus forms pin the root
-solver's repeated-factor paths.  perfbench/corpora.py is loaded from its
-file (see conftest); nothing under perfbench/ is imported as a package or
-changed.
+solver's repeated-factor paths and its pairing failures.  perfbench/corpora.py
+is loaded from its file (see conftest); nothing under perfbench/ is imported
+as a package or changed.
 """
 
 import hashlib
@@ -151,6 +151,31 @@ def test_failed_split_falls_back_to_the_zoom(caplog):
     assert report.matrix == formred.UnimodularMatrix(15, 7, -43, -20)
     assert any(r.getMessage().startswith("zoom fallback after a failed split")
                for r in caplog.records)
+
+
+# hard-scramble forms whose certified roots do not pair, with the message
+# recorded before the root solver's ladder became one function: seed 2 #100
+# (degree 18, a degree-10 part times a squared quartic; its split fails to
+# pair as well) and seed 3 #73 (degree 12, square-free, so nothing is split)
+UNPAIRED = {
+    (2, 100): (True, "no conjugate partner for (-0.9424128376158092+0.00014863377336235518j) "
+                     "(closest at distance 3.325e-08)"),
+    (3, 73): (False, "no conjugate partner for (0.2264870361435714+0.00011367922407998224j) "
+                     "(closest at distance 3.081e-08)"),
+}
+
+
+@pytest.mark.parametrize("seed, index", sorted(UNPAIRED))
+def test_unpaired_roots_keep_their_message(caplog, seed, index):
+    caplog.set_level(logging.DEBUG, logger="formred.roots")
+    repeated, message = UNPAIRED[seed, index]
+    F = formred.BinaryForm(corpora.generate("hard-scramble", seed, index + 1)[index])
+    with pytest.raises(formred.UnpairedRoot) as failure:
+        formred.roots.certified_roots(F)
+    assert str(failure.value) == message
+    # the pairing failure is split exactly when the form has a repeated factor
+    assert any(r.getMessage().startswith("square-free split of ")
+               for r in caplog.records) is repeated
 
 
 # seed-4 exact-centroid forms with a repeated factor whose zoomed roots lost

@@ -375,6 +375,13 @@ class TestLeftSum:
         assert _left_sum([1e16, 1.0, -1e16]) == (1e16 + 1.0) - 1e16 == 0.0
         assert _left_sum(x for x in [0.1] * 10) == 0.9999999999999999
 
+    def test_adds_complex_numbers_left_to_right(self):
+        # the built-in sum compensates complex rounding from Python 3.14 on
+        big = complex(1e16, -1e16)
+        assert _left_sum([big, 1 + 1j, -big]) == (big + (1 + 1j)) - big == 0j
+        assert _left_sum(z for z in [0.1 + 0.1j] * 10) == complex(0.9999999999999999,
+                                                                  0.9999999999999999)
+
     def test_exact_values_and_empty(self):
         assert _left_sum([Fraction(1, 3), Fraction(2, 3), 1]) == 2
         assert _left_sum([]) == 0

@@ -648,10 +648,8 @@ class TestCertifiedRoots:
 
     def test_fourth_power_is_rescued(self):
         F = BinaryForm((1, 0, 4, 0, 6, 0, 4, 0, 1))  # (X^2 + Z^2)^4
-        with pytest.raises(ConvergenceFailure):
-            complex_roots(F)
         roots, rs = certified_roots(F)
-        assert roots == [-1j] * 4 + [1j] * 4
+        assert roots == complex_roots(F) == [-1j] * 4 + [1j] * 4
         assert rs.pairs == (PointH2(0, 1),) * 4
         assert rs.residual == 0.0
 
@@ -718,15 +716,19 @@ class TestClusterPolicy:
         assert [i for _, i in square_free_parts(BinaryForm(REPEATED_CLUSTER))] == [1, 2]
         report = formred.reduce_form(BinaryForm(REPEATED_CLUSTER), method="centroid")
         assert formred.reduce.reduced_zero_matches(report)
-        assert solver_calls == {"complex_roots": 1, "_zoom_solve": 0}
+        # the form, then each of its two square-free parts
+        assert solver_calls == {"complex_roots": 3, "_zoom_solve": 0}
 
-    def test_complex_roots_leaves_the_split_to_certified_roots(self):
+    def test_complex_roots_splits(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
         F = BinaryForm(REPEATED_CLUSTER)
-        with pytest.raises(ConvergenceFailure, match="repeated factor"):
-            complex_roots(F)
-        roots, rs = certified_roots(F)
+        roots = complex_roots(F)
+        assert [r.getMessage() for r in caplog.records if "split" in r.getMessage()] == [
+            f"split at a repeated-factor cluster of {F} into multiplicities [1, 2]"]
         assert len(roots) == 8
+        rs = pair_conjugates(roots, form=F)
         assert sorted(rs.pairs.count(p) for p in rs.pairs) == [1, 1, 2, 2]
+        assert certified_roots(F) == (roots, rs)
 
     def test_square_free_cluster_still_zooms(self, solver_calls):
         F = BinaryForm(SQUARE_FREE_CLUSTER)
@@ -739,8 +741,23 @@ class TestClusterPolicy:
         F = BinaryForm(REPEATED_CLUSTER)
         roots, rs = certified_roots(F)
         assert solver_calls["complex_roots"] == 1 and solver_calls["_zoom_solve"] > 0
-        assert roots == formred.roots._roots(F)
+        assert roots == complex_roots(F)
         assert rs == pair_conjugates(roots, form=F)
+
+    def test_failed_split_zooms_from_the_first_solve(self, monkeypatch):
+        # the zoom fallback starts from the estimates the split was tried on:
+        # one Aberth walk on F's own coefficients, none repeated
+        walks, aberth = [], formred.roots._aberth
+
+        def recording(coeffs, max_iter):
+            walks.append(coeffs)
+            return aberth(coeffs, max_iter)
+
+        monkeypatch.setattr(formred.roots, "_aberth", recording)
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        F = BinaryForm(REPEATED_CLUSTER)
+        certified_roots(F)
+        assert walks.count([float(c) for c in F.coeffs]) == 1
 
     def test_failed_split_and_zoom_raise_the_split_error(self, monkeypatch):
         def failing_certificate(*args):
