@@ -425,10 +425,17 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     of a square-free form, and of a form whose split failed, are zoomed into
     from the same first-solve estimates: re-solved in exact coordinates
     recentred on the cluster, kept when the certificates improve.  When the
-    roots then fail to certify, a failed split's error is raised, a form with a
-    repeated factor that was not split yet is split, and a square-free form
-    re-raises.  A linear part is a real root.
+    roots then fail to certify, or a failed split's zoomed roots fail to pair,
+    the split's error is raised; a form with a repeated factor that was not
+    split yet is split, and a square-free form re-raises.  A linear part is a
+    real root.
     """
+    return _solve(F, tol, max_iter)
+
+
+def _solve(F, tol, max_iter):
+    """complex_roots' ladder; square-free parts are solved here directly, so
+    that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
     n = F.degree
     poly = _IntegerPoly.of_form(F)
@@ -463,7 +470,10 @@ def complex_roots(F, tol=1e-10, max_iter=200):
             xs, quality = zoomed, new_quality
     try:
         _certify(F, poly, xs, tol)
-    except ConvergenceFailure:
+        xs.sort(key=lambda r: (r.real, r.imag))
+        if split_error is not None:
+            pair_conjugates(xs)
+    except (ConvergenceFailure, UnpairedRoot):
         if split_error is not None:
             raise split_error from None
         if parts is None:
@@ -471,7 +481,6 @@ def complex_roots(F, tol=1e-10, max_iter=200):
         if _square_free(parts):
             raise
     else:
-        xs.sort(key=lambda r: (r.real, r.imag))
         return xs
     _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
     return _split(F, parts, tol)
@@ -654,13 +663,15 @@ def _square_free(parts):
 
 def _split(F, parts, tol):
     """The roots of F from its square-free parts [(P, i), ...]: each part solved
-    by complex_roots and paired alone, its roots repeated i times, then the
-    certificates checked on F itself."""
+    with the default 200 sweeps and paired alone, its roots repeated i times,
+    then the certificates checked on F itself."""
     roots = []
     for P, i in parts:
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
-        part_roots = complex_roots(BinaryForm(tuple(P)), tol=tol)
+        part_roots = _solve(BinaryForm(tuple(P)), tol, 200)
+        # a part whose roots do not pair fails the split; certified_roots
+        # pairs the whole form again, since complex_roots returns roots only
         pair_conjugates(part_roots)
         roots += part_roots * i
     _certify(F, _IntegerPoly.of_form(F), roots, tol)
@@ -671,10 +682,12 @@ def _split(F, parts, tol):
 def certified_roots(F, tol=1e-10):
     """(roots, RootSet) of F: its n roots as complex_roots gives them (see there
     for how a root cluster is resolved) and their conjugate pairs in the upper
-    half-plane.  A form with a repeated factor whose roots fail to pair is split
-    as complex_roots splits it."""
+    half-plane.  A form with a repeated factor whose roots fail to pair is
+    split as complex_roots splits it.  That is for forms complex_roots did not
+    split: its split roots pair part by part, and it raises the split's error
+    when the zoomed roots after a failed split do not pair."""
+    roots = complex_roots(F, tol=tol)
     try:
-        roots = complex_roots(F, tol=tol)
         return roots, pair_conjugates(roots, form=F)
     except UnpairedRoot:
         parts = square_free_parts(F)

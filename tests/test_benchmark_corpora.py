@@ -154,28 +154,31 @@ def test_failed_split_falls_back_to_the_zoom(caplog):
 
 
 # hard-scramble forms whose certified roots do not pair, with the message
-# recorded before the root solver's ladder became one function: seed 2 #100
-# (degree 18, a degree-10 part times a squared quartic; its split fails to
-# pair as well) and seed 3 #73 (degree 12, square-free, so nothing is split)
+# recorded before the root solver's ladder became one function and the split
+# decisions logged: seed 2 #100 (degree 18, a degree-10 part times a squared
+# quartic; its split fails to pair, and so do the zoomed roots, so the split's
+# error is raised without a second split) and seed 3 #73 (degree 12,
+# square-free, so nothing is split)
 UNPAIRED = {
-    (2, 100): (True, "no conjugate partner for (-0.9424128376158092+0.00014863377336235518j) "
-                     "(closest at distance 3.325e-08)"),
-    (3, 73): (False, "no conjugate partner for (0.2264870361435714+0.00011367922407998224j) "
-                     "(closest at distance 3.081e-08)"),
+    (2, 100): (["split at a repeated-factor cluster of ", "zoom fallback after a failed split of "],
+               "no conjugate partner for (-0.9424128376158092+0.00014863377336235518j) "
+               "(closest at distance 3.325e-08)"),
+    (3, 73): ([], "no conjugate partner for (0.2264870361435714+0.00011367922407998224j) "
+                  "(closest at distance 3.081e-08)"),
 }
 
 
 @pytest.mark.parametrize("seed, index", sorted(UNPAIRED))
 def test_unpaired_roots_keep_their_message(caplog, seed, index):
     caplog.set_level(logging.DEBUG, logger="formred.roots")
-    repeated, message = UNPAIRED[seed, index]
+    decisions, message = UNPAIRED[seed, index]
     F = formred.BinaryForm(corpora.generate("hard-scramble", seed, index + 1)[index])
     with pytest.raises(formred.UnpairedRoot) as failure:
         formred.roots.certified_roots(F)
     assert str(failure.value) == message
-    # the pairing failure is split exactly when the form has a repeated factor
-    assert any(r.getMessage().startswith("square-free split of ")
-               for r in caplog.records) is repeated
+    logged = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+    assert len(logged) == len(decisions)
+    assert all(m.startswith(d) for m, d in zip(logged, decisions))
 
 
 # seed-4 exact-centroid forms with a repeated factor whose zoomed roots lost

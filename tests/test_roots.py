@@ -672,14 +672,14 @@ class TestCertifiedRoots:
 
     def test_linear_part_is_a_real_root(self, monkeypatch):
         F = BinaryForm((1, -2, 2, -2, 1))  # (X - Z)^2 (X^2 + Z^2)
-        solve = formred.roots.complex_roots
+        pair = formred.roots.pair_conjugates
 
-        def failing_on_f(G, tol=1e-10):
-            if G == F:
-                raise UnpairedRoot("direct solve failed")
-            return solve(G, tol=tol)
+        def failing_on_f(roots, tol=1e-8, form=None):
+            if form == F:
+                raise UnpairedRoot("pairing failed")
+            return pair(roots, tol=tol, form=form)
 
-        monkeypatch.setattr(formred.roots, "complex_roots", failing_on_f)
+        monkeypatch.setattr(formred.roots, "pair_conjugates", failing_on_f)
         with pytest.raises(RealRootDetected, match="multiplicity 2"):
             certified_roots(F)
 
@@ -716,8 +716,7 @@ class TestClusterPolicy:
         assert [i for _, i in square_free_parts(BinaryForm(REPEATED_CLUSTER))] == [1, 2]
         report = formred.reduce_form(BinaryForm(REPEATED_CLUSTER), method="centroid")
         assert formred.reduce.reduced_zero_matches(report)
-        # the form, then each of its two square-free parts
-        assert solver_calls == {"complex_roots": 3, "_zoom_solve": 0}
+        assert solver_calls == {"complex_roots": 1, "_zoom_solve": 0}
 
     def test_complex_roots_splits(self, caplog):
         caplog.set_level(logging.DEBUG, logger="formred.roots")
