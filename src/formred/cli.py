@@ -331,6 +331,19 @@ def build_parser():
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def positive(convert):
+        """The argparse type convert, with values that are not finite and
+        positive a usage error."""
+        def parse(text):
+            value = convert(text)
+            if not (math.isfinite(value) and value > 0):
+                raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+            return value
+
+        # argparse names the type in its "invalid <type> value" message
+        parse.__name__ = convert.__name__
+        return parse
+
     parser = _Parser(prog="formred",
                      description="Reduce totally complex real binary forms "
                                  "via hyperbolic zero maps.")
@@ -340,8 +353,8 @@ def build_parser():
                    default_format="json", formats=("json", "text")):
         p.add_argument("--method", choices=methods, default=default_method)
         p.add_argument("--format", choices=formats, default=default_format)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--precision", type=int, default=12,
+        p.add_argument("--tol", type=positive(float), default=1e-10)
+        p.add_argument("--precision", type=positive(int), default=12,
                        help="significant digits in text output")
 
     p = sub.add_parser("reduce", help="reduce a single form")

@@ -257,13 +257,15 @@ def _integer_coeffs(F):
     return [int(c * den) for c in F.coeffs], den
 
 
+def _primitive(ints):
+    """A non-zero integer polynomial over its content, a non-negative gcd."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
 def primitive_integral_coeffs(F):
     """Clear denominators and divide by the common content; keeps sign of c_0... as is."""
-    ints, _ = _integer_coeffs(F)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints]
+    return _primitive(_integer_coeffs(F)[0])
 
 
 def normalized_height(F):

@@ -32,11 +32,15 @@ from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum, _poly_mul,
-                    _Record, _set)
+                    _primitive, _Record, _set)
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
+# roots r and s pair as conjugates when |r - conj(s)| <= _PAIR_TOL * (1 + |r|)
+_PAIR_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-7
+# the most Aberth sweeps of a solve
+_MAX_SWEEPS = 200
 # estimates this close (relative) are zoomed into as one cluster
 _ZOOM_GROUP_RADIUS = 0.02
 # the zoom centre is a multiple of 2^-_ZOOM_BITS
@@ -375,7 +379,7 @@ def _taylor_shift_scaled(poly, k, m):
     return _IntegerPoly(ints[::-1], den)
 
 
-def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
+def _zoom_solve(poly, dpoly, coeffs, deriv, cluster):
     """Re-solve after recentering on a tight root cluster.
 
     A Moebius substitution can contract roots into clusters whose diameter is
@@ -399,7 +403,7 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
         return None
     local = [c / top for c in shifted]
     local_deriv = [local[i] * (n - i) for i in range(n)]
-    ws = _aberth(local, max_iter)
+    ws = _aberth(local, _MAX_SWEEPS)
     ws = [_newton_polish(local, local_deriv, w) for w in ws]
     x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
@@ -407,7 +411,7 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster, max_iter):
     return _refine(poly, dpoly, coeffs, deriv, back)
 
 
-def complex_roots(F, tol=1e-10, max_iter=200):
+def complex_roots(F, tol=1e-10):
     """All n roots of F(X, 1), multiplicities included, deterministically ordered.
 
     Residual contract: |F(r, 1)| / (height * (1 + |r|)^n) <= tol for every root,
@@ -417,8 +421,8 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     One ladder, top to bottom.  A form with a coefficient too large for a float
     fails at once.  The first solve runs Aberth, the Newton polish and the
     cluster merge.  At the first group of estimates within the zoom radius
-    while the certificates are unmet, F is tested for a repeated factor (a
-    modular square-free test, then Yun's exact decomposition on Python ints).
+    while the certificates are unmet, F is tested for a repeated factor (Yun's
+    exact decomposition on Python ints).
     A form with one is split into its square-free parts P_i of multiplicity i:
     each part is solved by this function and paired on its own, its roots are
     repeated i times, and the certificates are checked on F itself.  Clusters
@@ -430,10 +434,10 @@ def complex_roots(F, tol=1e-10, max_iter=200):
     split yet is split, and a square-free form re-raises.  A linear part is a
     real root.
     """
-    return _solve(F, tol, max_iter)
+    return _solve(F, tol)
 
 
-def _solve(F, tol, max_iter):
+def _solve(F, tol):
     """complex_roots' ladder; square-free parts are solved here directly, so
     that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
@@ -441,7 +445,7 @@ def _solve(F, tol, max_iter):
     poly = _IntegerPoly.of_form(F)
     dpoly = poly.derivative()
     deriv = [coeffs[i] * (n - i) for i in range(n)]
-    xs = _aberth(coeffs, max_iter)
+    xs = _aberth(coeffs, _MAX_SWEEPS)
     xs = [_newton_polish(coeffs, deriv, x) for x in xs]
     xs = _refine(poly, dpoly, coeffs, deriv, xs)
     # clusters of nearby roots are exactly where double precision runs out;
@@ -462,7 +466,7 @@ def _solve(F, tol, max_iter):
                 except (ConvergenceFailure, UnpairedRoot) as exc:
                     _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
                     split_error = exc
-        zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group, max_iter)
+        zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group)
         if zoomed is None:
             continue
         new_quality = max(_conjugate_defect(zoomed), _power_sum_defect(F, zoomed))
@@ -498,7 +502,7 @@ def _certify(F, poly, roots, tol):
             raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
 
 
-def pair_conjugates(roots, tol=1e-8, form=None):
+def pair_conjugates(roots, form=None):
     """Match roots into conjugate pairs; representatives get positive imaginary part.
 
     Raises RealRootDetected when some root is within the realness threshold of
@@ -518,19 +522,13 @@ def pair_conjugates(roots, tol=1e-8, form=None):
     for r in upper:
         match = min(pool, key=lambda m: abs(r - m.conjugate()))
         gap = abs(r - match.conjugate())
-        if gap > tol * (1.0 + abs(r)):
+        if gap > _PAIR_TOL * (1.0 + abs(r)):
             raise UnpairedRoot(f"no conjugate partner for {r} (closest at distance {gap:.3e})")
         pool.remove(match)
         rep = (r + match.conjugate()) / 2
         pairs.append(PointH2(rep.real, rep.imag))
     pairs.sort(key=lambda p: (p.x, p.y))
     return RootSet(tuple(pairs), 0.0 if form is None else _float_residual(form, roots))
-
-
-def _primitive(ints):
-    """A non-zero integer polynomial over its content."""
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
 
 
 def _pseudo_remainder(u, v):
@@ -593,53 +591,18 @@ def _poly_sub(u, v):
     return out
 
 
-# the modular square-free test's prime; one that divides the leading
-# coefficient leaves the test inconclusive
-_PRIME = 2**61 - 1
-
-
-def _square_free_mod_prime(ints):
-    """True when gcd(f, f') = 1 modulo _PRIME, which proves the integer
-    polynomial f square-free over the rationals: the prime does not divide the
-    leading coefficient, so a square factor of f would survive the reduction.
-    False is inconclusive."""
-    p = _PRIME
-    if ints[0] % p == 0:
-        return False
-    u = [c % p for c in ints]
-    v = [c % p for c in _derivative(ints)]
-    while v and v[0] == 0:
-        v.pop(0)
-    while v:
-        inv = pow(v[0], -1, p)
-        for k in range(len(u) - len(v) + 1):
-            f = u[k] * inv % p
-            if f:
-                for j in range(1, len(v)):
-                    u[k + j] = (u[k + j] - f * v[j]) % p
-        r = u[len(u) - len(v) + 1:]
-        while r and r[0] == 0:
-            r.pop(0)
-        u, v = v, r
-    return len(u) == 1
-
-
 def square_free_parts(F):
     """Yun's exact square-free decomposition of F(X, 1) over the rationals.
 
     Returns [(P, i), ...] with F(X, 1) = c_0 * prod P^i, each P a monic
     square-free polynomial of positive degree (descending Fraction
     coefficients) and the P pairwise coprime; a square-free F gives
-    [(F / c_0, 1)].  D. Y. Y. Yun, SYMSAC '76.  A form shown square-free
-    modulo a prime skips the gcds.  Otherwise Yun's loop runs on the
+    [(F / c_0, 1)].  D. Y. Y. Yun, SYMSAC '76.  Yun's loop runs on the
     primitive integer multiple f of F: gcds by primitive remainder sequences
     (G. E. Collins, J. ACM 14, 1967) and exact integer quotients, for every
     divisor is primitive; only the parts are made monic over the rationals.
     """
-    ints = _IntegerPoly.of_form(F).ints
-    if _square_free_mod_prime(ints):
-        return [([Fraction(c, F.coeffs[0]) for c in F.coeffs], 1)]
-    f = _primitive(ints)
+    f = _primitive(_IntegerPoly.of_form(F).ints)
     df = _derivative(f)
     g = _primitive_gcd(f, df)
     b, c = _exact_quotient(f, g), _exact_quotient(df, g)
@@ -663,13 +626,13 @@ def _square_free(parts):
 
 def _split(F, parts, tol):
     """The roots of F from its square-free parts [(P, i), ...]: each part solved
-    with the default 200 sweeps and paired alone, its roots repeated i times,
-    then the certificates checked on F itself."""
+    and paired alone, its roots repeated i times, then the certificates checked
+    on F itself."""
     roots = []
     for P, i in parts:
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
-        part_roots = _solve(BinaryForm(tuple(P)), tol, 200)
+        part_roots = _solve(BinaryForm(tuple(P)), tol)
         # a part whose roots do not pair fails the split; certified_roots
         # pairs the whole form again, since complex_roots returns roots only
         pair_conjugates(part_roots)
@@ -682,19 +645,8 @@ def _split(F, parts, tol):
 def certified_roots(F, tol=1e-10):
     """(roots, RootSet) of F: its n roots as complex_roots gives them (see there
     for how a root cluster is resolved) and their conjugate pairs in the upper
-    half-plane.  A form with a repeated factor whose roots fail to pair is
-    split as complex_roots splits it.  That is for forms complex_roots did not
-    split: its split roots pair part by part, and it raises the split's error
-    when the zoomed roots after a failed split do not pair."""
+    half-plane."""
     roots = complex_roots(F, tol=tol)
-    try:
-        return roots, pair_conjugates(roots, form=F)
-    except UnpairedRoot:
-        parts = square_free_parts(F)
-        if _square_free(parts):
-            raise
-    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
-    roots = _split(F, parts, tol)
     return roots, pair_conjugates(roots, form=F)
 
 

@@ -121,6 +121,30 @@ class TestReduceCommand:
         code, _, _ = run(capsys, "reduce", "--coeffs", "1,0,1", "--method", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "--coeffs", "1,0,1", "--format", "text", "--precision", "0"),
+        ("zero", "--coeffs", "1,0,1", "--precision", "-3"),
+    ])
+    def test_precision_below_one_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --precision: must be finite and positive: "
+                            f"{argv[-1]!r}\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "zero", "batch"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "1e400"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, command, tol):
+        source = ("--input", "-") if command == "batch" else ("--coeffs", "1,0,1")
+        code, out, err = run(capsys, command, *source, f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --tol: must be finite and positive: '{tol}'\n")
+
+    def test_small_tolerance_and_precision_are_kept(self, capsys):
+        code, out, _ = run(capsys, "zero", "--coeffs", "1,0,1", "--method", "centroid",
+                           "--tol", "1e-12", "--precision", "1")
+        assert code == 0
+        assert out.startswith("centroid: x = 0, y = 1")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "reduce", "--coeffs", "garbage!!")
         assert code == 1

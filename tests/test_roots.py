@@ -514,26 +514,11 @@ class TestSquareFreeSplit:
             assert {i: len(P) - 1 for P, i in parts} == by_mult
 
 
-small_polys = st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
-).filter(lambda cs: cs[0] != 0)
-
-
 class TestSquareFreeShortcut:
-    """The modular square-free test only ever skips work: with it or without
-    it the split is the same."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_polys, small_polys, st.integers(1, 3))
-    def test_same_split_as_gcds_over_rationals(self, g, h, k):
-        F = BinaryForm(tuple(expand([(g, 1), (h, k)])))
-        split = square_free_parts(F)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(formred.roots, "_square_free_mod_prime", lambda ints: False)
-            assert square_free_parts(F) == split
+    """A large integer content is divided out before Yun's loop."""
 
     def test_leading_coefficient_divisible_by_the_prime(self):
-        p = formred.roots._PRIME
+        p = 2**61 - 1
         assert square_free_parts(BinaryForm((p, 0, p))) == [([1, 0, 1], 1)]
         assert square_free_parts(BinaryForm((p, 0, 2 * p, 0, p))) == [([1, 0, 1], 2)]
 
@@ -575,7 +560,7 @@ def reference_sub(u, v):
 
 def reference_square_free_parts(F):
     """Reference: Yun's decomposition on Fraction polynomials, monic gcds by
-    Euclid over the rationals, and no modular shortcut."""
+    Euclid over the rationals."""
     f = [Fraction(c, F.coeffs[0]) for c in F.coeffs]
     df = reference_derivative(f)
     g = reference_monic_gcd(f, df)
@@ -601,13 +586,12 @@ def rational_poly(degree):
 @st.composite
 def repeated_products(draw):
     """scale * g * h^k of degree 2 to 20, rational coefficients.  The scale's
-    sign, integer content and factor _PRIME (which leaves the modular test
-    inconclusive) vary."""
+    sign, integer content and a large prime factor 2^61 - 1 vary."""
     dh, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     degree = draw(st.integers(max(2, k * dh), 20))
     g, h = draw(rational_poly(degree - k * dh)), draw(rational_poly(dh))
     scale = Fraction(draw(st.sampled_from([1, -1])) * draw(st.integers(1, 30))
-                     * draw(st.sampled_from([1, formred.roots._PRIME])), draw(st.integers(1, 12)))
+                     * draw(st.sampled_from([1, 2**61 - 1])), draw(st.integers(1, 12)))
     return BinaryForm(tuple(scale * c for c in expand([(g, 1), (h, k)])))
 
 
@@ -672,14 +656,14 @@ class TestCertifiedRoots:
 
     def test_linear_part_is_a_real_root(self, monkeypatch):
         F = BinaryForm((1, -2, 2, -2, 1))  # (X - Z)^2 (X^2 + Z^2)
-        pair = formred.roots.pair_conjugates
+        certify = formred.roots._certify
 
-        def failing_on_f(roots, tol=1e-8, form=None):
-            if form == F:
-                raise UnpairedRoot("pairing failed")
-            return pair(roots, tol=tol, form=form)
+        def failing_on_f(G, poly, roots, tol):
+            if G == F:
+                raise ConvergenceFailure("certificate failed")
+            return certify(G, poly, roots, tol)
 
-        monkeypatch.setattr(formred.roots, "pair_conjugates", failing_on_f)
+        monkeypatch.setattr(formred.roots, "_certify", failing_on_f)
         with pytest.raises(RealRootDetected, match="multiplicity 2"):
             certified_roots(F)
 
