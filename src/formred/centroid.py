@@ -208,12 +208,11 @@ def sum_cosh(center, points):
     )
 
 
-def oracle_center(points, tol=1e-6):
+def oracle_center(points):
     """Brute-force minimizer of sum cosh d: coarse grid then local refinement.
 
-    Deliberately independent of the closed form; deterministic.  `tol` is the
-    accuracy the fixed schedule is expected to reach (grid 200x200, then 60
-    shrinking local grids).
+    Deliberately independent of the closed form; deterministic.  Its fixed schedule
+    (grid 200x200, then 60 shrinking local grids) is good to about 1e-6.
     """
     import numpy as np
 

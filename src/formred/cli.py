@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from decimal import MAX_PREC
 from fractions import Fraction
 
 from .errors import (
@@ -333,11 +334,13 @@ def build_parser():
 
     def positive(convert):
         """The argparse type convert, with values that are not finite and
-        positive a usage error."""
+        positive a usage error, and ints (digit counts) above decimal.MAX_PREC."""
         def parse(text):
             value = convert(text)
-            if not (math.isfinite(value) and value > 0):
+            if not 0 < value < math.inf:
                 raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+            if convert is int and value > MAX_PREC:
+                raise argparse.ArgumentTypeError(f"must be at most {MAX_PREC}: {text!r}")
             return value
 
         # argparse names the type in its "invalid <type> value" message

@@ -23,6 +23,7 @@ from .forms import UnimodularMatrix, _Record, _set
 INFINITY = math.inf
 
 _BOUNDARY_TOL = 1e-12
+_MAX_STEPS = 64  # the most steps of a Gauss reduction
 
 
 def is_infinite(p):
@@ -172,11 +173,11 @@ def _entries(M):
     return a, b, c, d
 
 
-def _inverse_entries(M, tol=1e-9):
-    """Entries of M^(-1) for det-1 M, without forming the inverse numerically."""
+def _inverse_entries(M):
+    """Entries of M^(-1) for det-1 M (up to 1e-9), without forming the inverse numerically."""
     a, b, c, d = _entries(M)
     det = a * d - b * c
-    if abs(det - 1) > tol:
+    if abs(det - 1) > 1e-9:
         raise ValueError(f"matrix must have determinant 1, got {det}")
     return d, -b, -c, a
 
@@ -217,7 +218,7 @@ def in_fundamental_domain(z, tol=_BOUNDARY_TOL):
     return abs(z.x) <= 0.5 + tol and z.x * z.x + z.y * z.y >= 1.0 - tol
 
 
-def reduce_point_to_fundamental_domain(z, max_iter=64, trace=None):
+def reduce_point_to_fundamental_domain(z, trace=None):
     """Gauss reduction of a half-plane point into the fundamental domain.
 
     Returns (z', M) with z.M = z', |Re z'| <= 1/2 and |z'| >= 1 up to 1e-12;
@@ -228,7 +229,7 @@ def reduce_point_to_fundamental_domain(z, max_iter=64, trace=None):
     M = UnimodularMatrix.identity()
     if trace is not None:
         trace.append(PointH2(x, y))
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         n = math.ceil(x - 0.5)
         if n:
             x -= n
@@ -256,7 +257,7 @@ def reduce_point_to_fundamental_domain(z, max_iter=64, trace=None):
     raise ConvergenceFailure("fundamental-domain reduction did not terminate")
 
 
-def reduce_point_exact(t, u_sq, max_iter=64):
+def reduce_point_exact(t, u_sq):
     """Exact-rational Gauss reduction of the point t + i*sqrt(u_sq).
 
     Returns (t', u_sq', M) with every comparison done in exact arithmetic, so
@@ -271,7 +272,7 @@ def reduce_point_exact(t, u_sq, max_iter=64):
     p, q = t.numerator, t.denominator
     r, s = u2.numerator, u2.denominator
     M = UnimodularMatrix.identity()
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         n = (2 * p + q - 1) // (2 * q)  # ceil(t - 1/2)
         if n:
             p -= n * q

@@ -189,11 +189,11 @@ def _dot(u, v):
     return acc
 
 
-def _minimize(value_grad_hess, p0, tol, max_iter):
+def _minimize(value_grad_hess, p0, tol):
     """Damped Newton with Armijo backtracking; falls back to gradient steps."""
     p = tuple(float(v) for v in p0)
     val, grad, hess, riem = value_grad_hess(p)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if riem <= tol:
             return p, val, riem, it
         descent = [-g for g in grad]
@@ -216,9 +216,9 @@ def _minimize(value_grad_hess, p0, tol, max_iter):
         p = tuple(pi + s * di for pi, di in zip(p, step))
         val, grad, hess, riem = value_grad_hess(p)
     if riem <= tol:
-        return p, val, riem, max_iter
+        return p, val, riem, MAX_ITER
     raise ConvergenceFailure(
-        f"no convergence after {max_iter} iterations (gradient norm {riem:.3e})")
+        f"no convergence after {MAX_ITER} iterations (gradient norm {riem:.3e})")
 
 
 def _real_problem(pairs):
@@ -279,7 +279,7 @@ def _complex_problem(roots):
     return fgh
 
 
-def julia_zero(roots, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
+def julia_zero(roots, tol=DEFAULT_TOL, start=None):
     """Unique minimizer of F~ over the upper half-space (needs >= 2 distinct roots)."""
     roots = [complex(r) for r in roots]
     if len(roots) < 2:
@@ -291,13 +291,13 @@ def julia_zero(roots, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
             raise ValueError("need at least two distinct roots")
         start = PointH3(mean, spread)
     p0 = (start.z.real, start.z.imag, math.log(start.t))
-    p, val, riem, it = _minimize(_complex_problem(roots), p0, tol, max_iter)
+    p, val, riem, it = _minimize(_complex_problem(roots), p0, tol)
     point = PointH3(complex(p[0], p[1]), math.exp(p[2]))
     _debug(__name__, "julia_zero: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 
 
-def julia_zero_real(pairs, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
+def julia_zero_real(pairs, tol=DEFAULT_TOL):
     """Minimizer of F~ restricted to the real cross-section.
 
     `pairs` is a RootSet or a sequence of upper half-plane points, one per
@@ -307,16 +307,14 @@ def julia_zero_real(pairs, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
     pts = pairs.pairs if isinstance(pairs, RootSet) else tuple(pairs)
     if not pts:
         raise ValueError("need at least one conjugate pair")
-    if start is None:
-        start = center_of_mass_h2(pts)
-    p0 = (start.x, math.log(start.y))
-    p, val, riem, it = _minimize(_real_problem(pts), p0, tol, max_iter)
+    start = center_of_mass_h2(pts)
+    p, val, riem, it = _minimize(_real_problem(pts), (start.x, math.log(start.y)), tol)
     point = PointH2(p[0], math.exp(p[1]))
     _debug(__name__, "julia_zero_real: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 
 
-def julia_quadratic(F, tol=DEFAULT_TOL):
+def julia_quadratic(F):
     """Monic positive definite quadratic whose zero is the minimizer for F.
 
     Determined up to a positive factor, which is all reduction needs; real
@@ -324,6 +322,4 @@ def julia_quadratic(F, tol=DEFAULT_TOL):
     """
     from .paramspace import inv_zero_quadratic
 
-    rs = root_set(F)
-    result = julia_zero_real(rs, tol=tol)
-    return inv_zero_quadratic(result.point)
+    return inv_zero_quadratic(julia_zero_real(root_set(F)).point)

@@ -28,9 +28,10 @@ from .roots import real_quadratic_factors, root_set
 
 SCHEMA_VERSION = 1
 METHODS = ("centroid", "julia")
+JSON_DIGITS = 30  # significant digits of every decimal in a JSON report
 
 
-def format_decimal(value, digits=30):
+def format_decimal(value, digits=JSON_DIGITS):
     """Deterministic decimal string with the given number of significant digits."""
     with localcontext() as ctx:
         ctx.prec = digits
@@ -43,10 +44,10 @@ def format_decimal(value, digits=30):
     return str(d)
 
 
-def format_decimal_sqrt(value, digits=30):
+def format_decimal_sqrt(value):
     """Decimal string of sqrt(value) for an exact nonnegative Fraction."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = JSON_DIGITS
         d = (Decimal(value.numerator) / Decimal(value.denominator)).sqrt()
     return str(d)
 
@@ -62,11 +63,11 @@ class ZeroPoint(_Record):
         _set(self, "t_exact", t_exact)
         _set(self, "u_sq_exact", u_sq_exact)
 
-    def to_dict(self, digits=30):
+    def to_dict(self):
         out = {
-            "x": format_decimal(self.t_exact if self.t_exact is not None else self.point.x, digits),
-            "y": (format_decimal_sqrt(self.u_sq_exact, digits)
-                  if self.u_sq_exact is not None else format_decimal(self.point.y, digits)),
+            "x": format_decimal(self.t_exact if self.t_exact is not None else self.point.x),
+            "y": (format_decimal_sqrt(self.u_sq_exact)
+                  if self.u_sq_exact is not None else format_decimal(self.point.y)),
         }
         out["exact_t"] = str(self.t_exact) if self.t_exact is not None else None
         out["exact_u_sq"] = str(self.u_sq_exact) if self.u_sq_exact is not None else None
@@ -93,24 +94,24 @@ class ReductionReport(_Record):
         _set(self, "reduced_point", reduced_point)
         _set(self, "diagnostics", diagnostics)
 
-    def to_dict(self, digits=30):
+    def to_dict(self):
         return {
             "schema_version": SCHEMA_VERSION,
             "method": self.method,
             "input": {"degree": self.input.degree,
                       "coefficients": [str(c) for c in self.input.coeffs]},
-            "zero_point": self.zero_point.to_dict(digits),
+            "zero_point": self.zero_point.to_dict(),
             "matrix": [[self.matrix.a, self.matrix.b], [self.matrix.c, self.matrix.d]],
             "reduced": {"degree": self.reduced.degree,
                         "coefficients": [str(c) for c in self.reduced.coeffs]},
-            "reduced_point": self.reduced_point.to_dict(digits),
+            "reduced_point": self.reduced_point.to_dict(),
             "height_before": str(self.height_before),
             "height_after": str(self.height_after),
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self, digits=30):
-        return json.dumps(self.to_dict(digits), sort_keys=True, separators=(",", ":"))
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class ComparisonReport(_Record):
@@ -128,12 +129,12 @@ class ComparisonReport(_Record):
         _set(self, "same_matrix", same_matrix)
         _set(self, "same_reduced_form", same_reduced_form)
 
-    def to_dict(self, digits=30):
+    def to_dict(self):
         return {
             "schema_version": SCHEMA_VERSION,
-            "centroid": self.centroid_report.to_dict(digits),
-            "julia": self.julia_report.to_dict(digits),
-            "zero_gap": format_decimal(self.zero_gap, digits),
+            "centroid": self.centroid_report.to_dict(),
+            "julia": self.julia_report.to_dict(),
+            "zero_gap": format_decimal(self.zero_gap),
             "same_matrix": self.same_matrix,
             "same_reduced_form": self.same_reduced_form,
         }
@@ -144,13 +145,13 @@ def _check_method(method):
         raise FormParseError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def julia_zero_real(pairs, **kwargs):
+def julia_zero_real(pairs, tol):
     """formred.julia.julia_zero_real, with formred.julia imported by the first
     call: a centroid reduction never loads it.  A module-level name, so that
     callers and perfbench's spans can wrap the Julia step of zero_point."""
     from .julia import julia_zero_real
 
-    return julia_zero_real(pairs, **kwargs)
+    return julia_zero_real(pairs, tol=tol)
 
 
 def zero_point(F, method="centroid", tol=1e-10, rootset=None):
@@ -216,9 +217,9 @@ def _reduce(F, method, tol, prior=None):
     )
 
 
-def is_reduced(F, method="centroid", tol=1e-10):
+def is_reduced(F, method="centroid"):
     """True when the zero-map value of F already lies in the closed domain."""
-    zp, _ = zero_point(F, method=method, tol=tol)
+    zp, _ = zero_point(F, method=method)
     return in_fundamental_domain(zp.point)
 
 
@@ -236,8 +237,8 @@ def compare_methods(F, tol=1e-10):
     )
 
 
-def reduced_zero_matches(report, tol=1e-9):
-    """Consistency check: the recorded matrix really moves the zero into the domain."""
+def reduced_zero_matches(report):
+    """Consistency check, to 1e-9: the recorded matrix really moves the zero into the domain."""
     moved = mobius_h2(report.zero_point.point, report.matrix)
-    return (in_fundamental_domain(moved, tol)
-            and dist_h2(moved, report.reduced_point.point) <= tol)
+    return (in_fundamental_domain(moved, 1e-9)
+            and dist_h2(moved, report.reduced_point.point) <= 1e-9)

@@ -184,10 +184,10 @@ def _aberth(coeffs, max_iter):
     return xs
 
 
-def _newton_polish(coeffs, deriv, x, rounds=24):
+def _newton_polish(coeffs, deriv, x):
     px = _horner(coeffs, x)
     best, best_p = x, abs(px)
-    for _ in range(rounds):
+    for _ in range(24):
         dp = _horner(deriv, x)
         if dp == 0:
             break
@@ -220,7 +220,7 @@ def _groups(roots, radius):
     return groups
 
 
-def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
+def _multiple_root_polish(coeffs, deriv, x, multiplicity):
     """Modified Newton x -= m p/p'; quadratic at a root of the given multiplicity.
 
     Iterates are kept only while |p| improves, so a mistaken multiplicity cannot
@@ -228,7 +228,7 @@ def _multiple_root_polish(coeffs, deriv, x, multiplicity, rounds=12):
     """
     px = _horner(coeffs, x)
     best, best_p = x, abs(px)
-    for _ in range(rounds):
+    for _ in range(12):
         dp = _horner(deriv, x)
         if dp == 0:
             break
@@ -284,14 +284,14 @@ def _exact_value(poly, dyadic):
     return complex(pr / scale, pi / scale)
 
 
-def _exact_newton_polish(poly, dpoly, x, multiplicity=1, rounds=3):
-    """Newton steps with the polynomial evaluated exactly at the float iterate.
+def _exact_newton_polish(poly, dpoly, x, multiplicity):
+    """Newton steps x -= m p/p' with the polynomial evaluated exactly at the float iterate.
 
     Float Horner on large integer coefficients loses enough accuracy to spoil
     conjugate pairing; evaluating p and p' exactly leaves only the float
     representation of the iterate itself.
     """
-    for _ in range(rounds):
+    for _ in range(3):
         at = _dyadic(x)
         dp = _exact_value(dpoly, at)
         if dp == 0:
@@ -311,7 +311,7 @@ def _refine(poly, dpoly, coeffs, deriv, estimates):
         value, mult = _left_sum(members) / len(members), len(members)
         if mult > 1:
             value = _multiple_root_polish(coeffs, deriv, value, mult)
-        value = _exact_newton_polish(poly, dpoly, value, multiplicity=mult)
+        value = _exact_newton_polish(poly, dpoly, value, mult)
         out.extend([value] * mult)
     return out
 
@@ -656,9 +656,9 @@ def root_set(F, tol=1e-10):
     return certified_roots(F, tol=tol)[1]
 
 
-def _rationalize(F, factors, max_denominator=10**6):
-    """Round float factors to nearby rationals; keep them only if the product
-    reproduces F exactly.
+def _rationalize(F, factors):
+    """Round float factors to the nearest rationals of denominator at most
+    10^6; keep them only if the product reproduces F exactly.
 
     With F = ints / den and D_j the lcm of the denominators of a_j and b_j, the
     test is the integer identity
@@ -668,8 +668,8 @@ def _rationalize(F, factors, max_denominator=10**6):
     for f in factors:
         try:
             candidates.append(RealQuadraticFactor(
-                Fraction(f.a).limit_denominator(max_denominator),
-                Fraction(f.b).limit_denominator(max_denominator),
+                Fraction(f.a).limit_denominator(10**6),
+                Fraction(f.b).limit_denominator(10**6),
             ))
         except (RealRootDetected, ValueError):
             return None

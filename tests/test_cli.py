@@ -1,3 +1,4 @@
+import decimal
 import json
 import logging
 import os
@@ -130,6 +131,22 @@ class TestReduceCommand:
         assert (code, out) == (1, "")
         assert err.endswith(f"error: argument --precision: must be finite and positive: "
                             f"{argv[-1]!r}\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "zero"])
+    @pytest.mark.parametrize("precision", [str(decimal.MAX_PREC + 1), "1" + "0" * 19,
+                                           "1" + "0" * 400], ids=["MAX_PREC+1", "1e19", "1e400"])
+    def test_precision_above_decimal_max_prec_is_a_usage_error(self, capsys, command, precision):
+        # format_decimal cannot give more digits than a decimal context holds
+        code, out, err = run(capsys, command, "--coeffs", "1,0,1", "--format", "text",
+                             "--precision", precision)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --precision: must be at most {decimal.MAX_PREC}: "
+                            f"{precision!r}\n")
+
+    def test_precision_up_to_decimal_max_prec_is_kept(self, capsys):
+        code, out, _ = run(capsys, "zero", "--coeffs", "1,0,1", "--method", "centroid",
+                           "--precision", str(decimal.MAX_PREC))
+        assert (code, out) == (0, "centroid: x = 0, y = 1, t = 0\n")
 
     @pytest.mark.parametrize("command", ["reduce", "zero", "batch"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "1e400"])
@@ -319,6 +336,18 @@ class TestBatch:
             ("unit", "ok"), ("huge", "convergence_failure"), ("after", "ok")]
         assert records[1]["error"] == "form coefficients leave the float range"
         assert summary["records"] == 3 and summary["ok"] == 2 and summary["errors"] == 1
+
+    def test_height_increase_is_counted(self, capsys, tmp_path):
+        # the centroid of X^4 - X^3 Z - X Z^3 + 2 Z^4 has x = 0.5119..., and the one
+        # translation that moves it into the domain raises the height from 2 to 3
+        path = tmp_path / "forms.txt"
+        path.write_text("up,1,-1,0,-1,2\n")
+        code, out, _ = run(capsys, "batch", "--input", str(path), "--method", "centroid")
+        assert code == 0
+        record, summary = out.splitlines()
+        assert json.loads(record)["centroid"]["height_after"] == "3"
+        assert '"height_increased":1' in summary
+        assert json.loads(summary)["height_reduced"] == 0
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "--input", "/nonexistent/path.txt")

@@ -20,6 +20,7 @@ from formred.errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from formred.forms import (
     BinaryForm,
     RealQuadraticFactor,
+    UnimodularMatrix,
     expand_quadratic_factors,
     from_quadratic_factors,
     height,
@@ -163,6 +164,24 @@ class TestRealQuadraticFactors:
         assert all(f.is_exact for f in facs)
         assert sorted((f.a, f.b) for f in facs) == [(Fraction(-4), Fraction(13)),
                                                     (Fraction(0), Fraction(1))]
+
+    @pytest.mark.parametrize("base, scrambled, reduced", [
+        ((1, 1, 1, 1, 1), (121, 826, 2116, 2411, 1031), (1, -1, 1, -1, 1)),
+        ((1, 0, 0, 0, 1), (82, 548, 1374, 1532, 641), (1, 0, 0, 0, 1)),
+    ])
+    def test_forms_that_do_not_split_over_q(self, base, scrambled, reduced):
+        # Phi5 and X^4 + 1 split over the reals only into quadratics with
+        # irrational coefficients, so the factors stay floats; so do those of
+        # their scrambles by (3 5; 1 2)
+        assert transform(BinaryForm(base), UnimodularMatrix(3, 5, 1, 2)).coeffs == scrambled
+        for coeffs in (base, scrambled):
+            F = BinaryForm(coeffs)
+            facs = real_quadratic_factors(F)
+            assert len(facs) == 2
+            assert all(type(f.a) is float and type(f.b) is float for f in facs)
+            report = formred.reduce_form(F, method="centroid")
+            assert report.diagnostics["exact"] is False
+            assert report.reduced.coeffs == reduced
 
 
 def fraction_horner(coeffs, re, im):
