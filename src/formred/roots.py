@@ -2,19 +2,20 @@
 
 Roots are found by the Aberth-Ehrlich simultaneous iteration started on a
 deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
-offset), then polished root-by-root with Newton steps.  The iteration stops
-when a sweep moves no estimate by more than 1e-14 (relative), after 200
+offset), then polished root-by-root with float Newton steps.  The iteration
+stops when a sweep moves no estimate by more than 1e-14 (relative), after 200
 sweeps, or at the first sweep whose float iterates repeat an earlier sweep's
 bit for bit: from there it only replays a cycle, and the cycle gives at once
 the iterates of the last sweep.  Estimates closer than the clustering radius
-are merged to their mean, which recovers accuracy for multiple roots.  Forms
-with a numerically real root are rejected loudly: the downstream
-center-of-mass formulas divide by the imaginary parts.
+are merged to their mean and polished by exact Newton steps x -= m p/p', m
+the number merged, which recovers accuracy for multiple roots.  Forms with a
+numerically real root are rejected loudly: the downstream center-of-mass
+formulas divide by the imaginary parts.
 
 A cluster of estimates that fails the integrity certificates is resolved by
 the ladder that complex_roots describes.
 
-Certification and the final Newton steps evaluate the form exactly at each
+Certification and the exact Newton steps evaluate the form exactly at each
 float iterate.  A float is dyadic, so with the form's denominators cleared once
 (integer coefficients over one common denominator) and both parts of the
 iterate scaled by a common 2^e, Horner runs on Python ints alone; each part is
@@ -126,7 +127,7 @@ def _aberth(coeffs, max_iter):
     the same bits as running the remaining sweeps.
     """
     n = len(coeffs) - 1
-    deriv = [coeffs[i] * (n - i) for i in range(n)]
+    deriv = _derivative(coeffs)
     radius = _root_magnitude_bound(coeffs)
     # fixed phase offset so the start is never conjugation-symmetric
     xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
@@ -220,30 +221,10 @@ def _groups(roots, radius):
     return groups
 
 
-def _multiple_root_polish(coeffs, deriv, x, multiplicity):
-    """Modified Newton x -= m p/p'; quadratic at a root of the given multiplicity.
-
-    Iterates are kept only while |p| improves, so a mistaken multiplicity cannot
-    push a good estimate away.
-    """
-    px = _horner(coeffs, x)
-    best, best_p = x, abs(px)
-    for _ in range(12):
-        dp = _horner(deriv, x)
-        if dp == 0:
-            break
-        x = x - multiplicity * px / dp
-        px = _horner(coeffs, x)
-        p = abs(px)
-        if p >= best_p:
-            break
-        best, best_p = x, p
-    return best
-
-
-def _derivative(ints):
-    n = len(ints) - 1
-    return [c * (n - i) for i, c in enumerate(ints[:-1])]
+def _derivative(coeffs):
+    """The derivative's coefficients (descending), ints or floats as given."""
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
 class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
@@ -303,15 +284,13 @@ def _exact_newton_polish(poly, dpoly, x, multiplicity):
     return x
 
 
-def _refine(poly, dpoly, coeffs, deriv, estimates):
+def _refine(poly, dpoly, estimates):
     """Merge estimates within the clustering radius to their mean, then polish
-    each cluster to full accuracy."""
+    each cluster by exact Newton with its size as the multiplicity."""
     out = []
     for members in _groups(estimates, _CLUSTER_RADIUS):
-        value, mult = _left_sum(members) / len(members), len(members)
-        if mult > 1:
-            value = _multiple_root_polish(coeffs, deriv, value, mult)
-        value = _exact_newton_polish(poly, dpoly, value, mult)
+        mult = len(members)
+        value = _exact_newton_polish(poly, dpoly, _left_sum(members) / mult, mult)
         out.extend([value] * mult)
     return out
 
@@ -320,18 +299,6 @@ def _exact_residual(poly, r):
     """|p(r)| / (height * (1 + |r|)^n), with the numerator evaluated exactly."""
     h = max(abs(c) for c in poly.ints) / poly.den
     return abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** (len(poly.ints) - 1))
-
-
-def _conjugate_defect(roots):
-    """How far the multiset is from being closed under conjugation."""
-    upper = sorted((r for r in roots if r.imag > 0), key=lambda r: (r.real, r.imag))
-    lower = sorted((r.conjugate() for r in roots if r.imag < 0),
-                   key=lambda r: (r.real, r.imag))
-    if len(upper) != len(lower):
-        return math.inf
-    if not upper:
-        return 0.0
-    return max(abs(u - v) for u, v in zip(upper, lower))
 
 
 def _power_sum_defect(F, roots):
@@ -349,6 +316,18 @@ def _power_sum_defect(F, roots):
     scale1 = 1.0 + _left_sum(abs(r) for r in roots)
     scale2 = 1.0 + _left_sum(abs(r) ** 2 for r in roots)
     return max(abs(s1 - s1_true) / scale1, abs(s2 - s2_true) / scale2)
+
+
+def _quality(F, roots):
+    """How far roots are from certifying as F's: the worse of the power-sum
+    defect and the distance of the multiset from closure under conjugation."""
+    upper = sorted((r for r in roots if r.imag > 0), key=lambda r: (r.real, r.imag))
+    lower = sorted((r.conjugate() for r in roots if r.imag < 0),
+                   key=lambda r: (r.real, r.imag))
+    if len(upper) != len(lower):
+        return math.inf
+    conjugate = max((abs(u - v) for u, v in zip(upper, lower)), default=0.0)
+    return max(conjugate, _power_sum_defect(F, roots))
 
 
 def _taylor_shift_scaled(poly, k, m):
@@ -379,7 +358,7 @@ def _taylor_shift_scaled(poly, k, m):
     return _IntegerPoly(ints[::-1], den)
 
 
-def _zoom_solve(poly, dpoly, coeffs, deriv, cluster):
+def _zoom_solve(poly, dpoly, cluster):
     """Re-solve after recentering on a tight root cluster.
 
     A Moebius substitution can contract roots into clusters whose diameter is
@@ -392,23 +371,20 @@ def _zoom_solve(poly, dpoly, coeffs, deriv, cluster):
     diam = max(abs(r - center) for r in cluster)
     if diam == 0:
         return None
-    n = len(poly.ints) - 1
     k = round(center.real * 2**_ZOOM_BITS)
     scale_exp = math.frexp(2.0 * diam)[1]
     if scale_exp > 0:
         return None
     shifted = _taylor_shift_scaled(poly, k, -scale_exp).ints
     top = max(abs(c) for c in shifted)
-    if top == 0:
-        return None
     local = [c / top for c in shifted]
-    local_deriv = [local[i] * (n - i) for i in range(n)]
+    local_deriv = _derivative(local)
     ws = _aberth(local, _MAX_SWEEPS)
     ws = [_newton_polish(local, local_deriv, w) for w in ws]
     x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
     _debug(__name__, "zoom re-solve at %s with scale %s", x0f, sf)
-    return _refine(poly, dpoly, coeffs, deriv, back)
+    return _refine(poly, dpoly, back)
 
 
 def complex_roots(F, tol=1e-10):
@@ -419,16 +395,17 @@ def complex_roots(F, tol=1e-10):
     sums must also match their exact coefficient values.
 
     One ladder, top to bottom.  A form with a coefficient too large for a float
-    fails at once.  The first solve runs Aberth, the Newton polish and the
-    cluster merge.  At the first group of estimates within the zoom radius
-    while the certificates are unmet, F is tested for a repeated factor (Yun's
-    exact decomposition on Python ints).
+    fails at once.  The first solve runs Aberth, float Newton on each estimate,
+    the cluster merge, and exact Newton on each merged value with the
+    cluster's size as its multiplicity.  When its conjugate or power-sum
+    defect exceeds 1e-12 and some estimates group within the zoom radius, F
+    is tested once for a repeated factor (Yun's exact decomposition on ints).
     A form with one is split into its square-free parts P_i of multiplicity i:
     each part is solved by this function and paired on its own, its roots are
-    repeated i times, and the certificates are checked on F itself.  Clusters
-    of a square-free form, and of a form whose split failed, are zoomed into
-    from the same first-solve estimates: re-solved in exact coordinates
-    recentred on the cluster, kept when the certificates improve.  When the
+    repeated i times, and the certificates are checked on F itself.  The
+    groups of a square-free form, or of a form whose split failed, are zoomed
+    into in turn from the same first-solve estimates: re-solved in exact
+    coordinates recentred on the group, kept when the defect falls.  When the
     roots then fail to certify, or a failed split's zoomed roots fail to pair,
     the split's error is raised; a form with a repeated factor that was not
     split yet is split, and a square-free form re-raises.  A linear part is a
@@ -441,35 +418,33 @@ def _solve(F, tol):
     """complex_roots' ladder; square-free parts are solved here directly, so
     that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
-    n = F.degree
     poly = _IntegerPoly.of_form(F)
     dpoly = poly.derivative()
-    deriv = [coeffs[i] * (n - i) for i in range(n)]
+    deriv = _derivative(coeffs)
     xs = _aberth(coeffs, _MAX_SWEEPS)
-    xs = [_newton_polish(coeffs, deriv, x) for x in xs]
-    xs = _refine(poly, dpoly, coeffs, deriv, xs)
+    xs = _refine(poly, dpoly, [_newton_polish(coeffs, deriv, x) for x in xs])
     # clusters of nearby roots are exactly where double precision runs out;
     # a repeated factor is split off exactly, otherwise zoom into each cluster
     # and keep the result when the integrity certificates improve
-    quality = max(_conjugate_defect(xs), _power_sum_defect(F, xs))
+    quality = _quality(F, xs)
+    clusters = [] if quality <= 1e-12 else [
+        group for group in _groups(xs, _ZOOM_GROUP_RADIUS) if len(group) > 1]
     parts = split_error = None
-    for group in _groups(xs, _ZOOM_GROUP_RADIUS):
-        if len(group) < 2 or quality <= 1e-12:
-            continue
-        if parts is None:
-            parts = square_free_parts(F)
-            if not _square_free(parts):
-                _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
-                       F, [i for _, i in parts])
-                try:
-                    return _split(F, parts, tol)
-                except (ConvergenceFailure, UnpairedRoot) as exc:
-                    _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
-                    split_error = exc
-        zoomed = _zoom_solve(poly, dpoly, coeffs, deriv, group)
+    if clusters:
+        parts = square_free_parts(F)
+        if not _square_free(parts):
+            _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
+                   F, [i for _, i in parts])
+            try:
+                return _split(F, parts, tol)
+            except (ConvergenceFailure, UnpairedRoot) as exc:
+                _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
+                split_error = exc
+    for group in clusters:
+        zoomed = _zoom_solve(poly, dpoly, group)
         if zoomed is None:
             continue
-        new_quality = max(_conjugate_defect(zoomed), _power_sum_defect(F, zoomed))
+        new_quality = _quality(F, zoomed)
         if new_quality < quality:
             xs, quality = zoomed, new_quality
     try:

@@ -104,7 +104,9 @@ def test_full_exact_centroid_cli_reduces_every_form(capsys, seed):
 # hard-scramble, 150 forms per seed (the corpus of a 50 s run), recorded while
 # the square-free split still ran on Fractions: the forms that reduce, and the
 # sha256 of one line per form in corpus order, the report's JSON or
-# "failure <class>", as perfbench digests a pass
+# "failure <class>", as perfbench digests a pass; seed 2 was re-recorded when
+# the float modified Newton (_multiple_root_polish) went from the cluster
+# polish, which made #106 reduce and changed no other line
 HARD_SCRAMBLE = {
     1: ({
         0, 1, 2, 4, 6, 7, 9, 12, 18, 24, 25, 30, 31, 33, 36, 40, 42, 43, 44, 45, 46, 48, 49,
@@ -114,9 +116,9 @@ HARD_SCRAMBLE = {
     2: ({
         0, 1, 3, 4, 6, 7, 8, 12, 13, 18, 19, 20, 22, 24, 28, 30, 31, 32, 36, 37, 38, 40, 41,
         42, 43, 44, 46, 49, 50, 52, 53, 58, 59, 60, 67, 71, 72, 73, 76, 78, 79, 81, 84, 85,
-        86, 89, 90, 96, 98, 102, 103, 108, 109, 110, 114, 115, 118, 121, 126, 127, 128, 133,
-        134, 138, 139, 142, 143, 145, 147},
-        "c9fa27121643fc5a45ef80b07404851b6e206a8541819e58fba2f06762ca43ef"),
+        86, 89, 90, 96, 98, 102, 103, 106, 108, 109, 110, 114, 115, 118, 121, 126, 127, 128,
+        133, 134, 138, 139, 142, 143, 145, 147},
+        "985053c7770cb7904f63fd280bca4ee901b43df78bc199e082a2416aaa33835b"),
     3: ({
         3, 6, 7, 8, 12, 13, 14, 18, 19, 20, 23, 24, 30, 33, 34, 35, 36, 37, 40, 42, 43, 49,
         50, 51, 54, 55, 57, 59, 60, 62, 66, 69, 71, 72, 78, 79, 80, 81, 82, 94, 96, 97, 99,
@@ -151,6 +153,20 @@ def test_failed_split_falls_back_to_the_zoom(caplog):
     assert report.matrix == formred.UnimodularMatrix(15, 7, -43, -20)
     assert any(r.getMessage().startswith("zoom fallback after a failed split")
                for r in caplog.records)
+
+
+def test_zoomed_cluster_certifies_under_exact_newton_alone():
+    # degree 18, square-free parts of multiplicities 1 and 2: the split fails
+    # and the zoomed solve of the whole form certifies only while its merged
+    # clusters are polished by exact Newton with multiplicity and by nothing
+    # else; a float modified Newton before it left the power-sum defect at
+    # 8.621e-06
+    coeffs = corpora.generate("hard-scramble", 2, 107)[106]
+    report = formred.reduce_form(formred.BinaryForm(coeffs), method="centroid")
+    assert report.matrix == formred.UnimodularMatrix(-3, 1, -88, 29)
+    assert report.reduced.coeffs == (
+        1, 3, 27, 63, 342, 642, 2639, 3891, 13763, 15105, 51576, 38436, 147144, 59520, 323968,
+        25440, 537840, -118800, 648000)
 
 
 # hard-scramble forms whose certified roots do not pair, with the message
