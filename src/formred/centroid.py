@@ -13,9 +13,10 @@ d_j = sqrt(4 b_j - a_j^2) the same point is
     t = -psi(a, d)/2,     u^2 = psi(b, d) - psi(a, d)^2 / 4.
 
 psi is computed as (sum x_j/y_j)/(sum 1/y_j); the literal product form
-appears only in alt_center_presentation.  All formulas stay in exact rational
-arithmetic whenever their inputs are rational; for rational factor data the
-sums behind psi(a, d) and psi(b, d) run on integers.
+appears only in alt_center_presentation.  center_from_quadratic_factors_exact
+evaluates these formulas exactly, on integer sums, when every d_j is
+rational, and returns None otherwise; center_from_quadratic_factors evaluates
+them in floats.  reduce.zero_point makes the choice between the two.
 
 On the hyperboloid model the center of mass is simply the Minkowski-normalized
 sum of the points, and transfers to the H2 formulas through the isometry.
@@ -127,30 +128,20 @@ def center_from_quadratic_factors_exact(factors):
     return Fraction(-s1, 2 * s0), Fraction(4 * s2 * s0 - s1 * s1, 4 * s0 * s0)
 
 
-def center_and_exact(factors):
-    """(center, exact) for the roots of the factors: exact is (t, u^2) from
-    center_from_quadratic_factors_exact when the factor data is rational, and
-    the center is then its float image; otherwise exact is None and the
-    center comes from the float formulas."""
+def center_from_quadratic_factors(factors):
+    """Center of mass of the factor roots by the float formulas
+    t = -psi(a, d)/2 and u^2 = psi(b, d) - psi(a, d)^2/4, whatever the factor
+    data; reduce.zero_point tries center_from_quadratic_factors_exact first."""
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    exact = center_from_quadratic_factors_exact(factors)
-    if exact is not None:
-        t, u_sq = exact
-        return PointH2(float(t), math.sqrt(float(u_sq))), exact
     a = [float(f.a) for f in factors]
     b = [float(f.b) for f in factors]
     d = [math.sqrt(float(f.d_squared)) for f in factors]
     psi_ad = psi(a, d)
     t = -psi_ad / 2
     u_sq = psi(b, d) - psi_ad * psi_ad / 4
-    return PointH2(t, math.sqrt(u_sq)), None
-
-
-def center_from_quadratic_factors(factors):
-    """Center of mass of the factor roots, straight from the (a_j, b_j) data."""
-    return center_and_exact(factors)[0]
+    return PointH2(t, math.sqrt(u_sq))
 
 
 def alt_center_presentation(factors):

@@ -258,39 +258,32 @@ def reduce_point_to_fundamental_domain(z, trace=None):
 
 
 def reduce_point_exact(t, u_sq):
-    """Exact-rational Gauss reduction of the point t + i*sqrt(u_sq).
+    """Exact Gauss reduction of the point t + i*sqrt(u_sq) on an integer form.
 
-    Returns (t', u_sq', M) with every comparison done in exact arithmetic, so
-    boundary ties (Re = 1/2, |z| = 1) are resolved canonically and the reduced
-    coordinates stay rational.  t = p/q and u^2 = r/s are carried as reduced
-    integer pairs with q, s > 0, and every comparison is a cross-multiplication.
+    Returns (t', u_sq', M) with z.M = t' + i*sqrt(u_sq') reduced and boundary
+    ties (Re = 1/2, |z| = 1) resolved canonically.  With t = p/q, u^2 = r/s
+    the point is the root in H of the positive definite integer form
+    (A, B, C) = (q^2 s, -2pqs, p^2 s + r q^2): t = -B/2A, u^2 = (4AC - B^2)/4A^2
+    and |z|^2 = C/A.  z -> z - n moves it to (A, B + 2nA, C + nB + n^2 A) and
+    z -> -1/z to (C, -B, A), so the loop runs on integers alone.
     """
-    t = Fraction(t)
-    u2 = Fraction(u_sq)
+    t, u2 = Fraction(t), Fraction(u_sq)
     if u2 <= 0:
         raise ValueError("u_sq must be positive")
-    p, q = t.numerator, t.denominator
-    r, s = u2.numerator, u2.denominator
+    p, q, r, s = t.numerator, t.denominator, u2.numerator, u2.denominator
+    A, B, C = q * q * s, -2 * p * q * s, p * p * s + r * q * q
     M = UnimodularMatrix.identity()
     for _ in range(_MAX_STEPS):
-        n = (2 * p + q - 1) // (2 * q)  # ceil(t - 1/2)
+        n = -((A + B) // (2 * A))  # ceil(t - 1/2)
         if n:
-            p -= n * q
+            B, C = B + 2 * n * A, C + n * (B + n * A)
             M = M @ UnimodularMatrix.translation(n)
-        # t^2 + u^2 = N / (q^2 s)
-        qq_s = q * q * s
-        N = p * p * s + r * q * q
-        if N < qq_s:
-            # t, u^2 -> -t / |z|^2, u^2 / |z|^4
-            p, q, r, s = -p * q * s, N, r * qq_s * q * q, N * N
-            g = math.gcd(p, q)
-            p, q = p // g, q // g
-            g = math.gcd(r, s)
-            r, s = r // g, s // g
+        if C < A:
+            A, B, C = C, -B, A
             M = M @ UnimodularMatrix.inversion()
             continue
-        if N == qq_s and p < 0:
-            p = -p
+        if C == A and B > 0:
+            B = -B
             M = M @ UnimodularMatrix.inversion()
-        return Fraction(p, q), Fraction(r, s), M
+        return Fraction(-B, 2 * A), Fraction(4 * A * C - B * B, 4 * A * A), M
     raise ConvergenceFailure("fundamental-domain reduction did not terminate")

@@ -160,8 +160,12 @@ def zero_point(F, method="centroid", tol=1e-10, rootset=None):
     rs = rootset if rootset is not None else root_set(F, tol=tol)
     if method == "centroid":
         factors = real_quadratic_factors(F, tol=tol, rootset=rs)
-        pt, exact = _centroid.center_and_exact(factors)
-        zp = ZeroPoint(pt) if exact is None else ZeroPoint(pt, *exact)
+        exact = _centroid.center_from_quadratic_factors_exact(factors)
+        if exact is None:
+            zp = ZeroPoint(_centroid.center_from_quadratic_factors(factors))
+        else:
+            zp = ZeroPoint(PointH2(float(exact[0]), math.sqrt(float(exact[1]))), *exact)
+        pt = zp.point
         xs = [p.x for p in rs.pairs]
         ys = [p.y for p in rs.pairs]
         r1 = _left_sum((pt.x - x) / y for x, y in zip(xs, ys))

@@ -404,12 +404,12 @@ def complex_roots(F, tol=1e-10):
     each part is solved by this function and paired on its own, its roots are
     repeated i times, and the certificates are checked on F itself.  The
     groups of a square-free form, or of a form whose split failed, are zoomed
-    into in turn from the same first-solve estimates: re-solved in exact
-    coordinates recentred on the group, kept when the defect falls.  When the
-    roots then fail to certify, or a failed split's zoomed roots fail to pair,
-    the split's error is raised; a form with a repeated factor that was not
-    split yet is split, and a square-free form re-raises.  A linear part is a
-    real root.
+    into in turn from the same first-solve estimates, until the defect is
+    1e-12 or below: re-solved in exact coordinates recentred on the group,
+    kept when the defect falls.  When the roots then fail to certify, or a
+    failed split's zoomed roots fail to pair, the split's error is raised; a
+    form with a repeated factor that was not split yet is split, and a
+    square-free form re-raises.  A linear part is a real root.
     """
     return _solve(F, tol)
 
@@ -441,6 +441,8 @@ def _solve(F, tol):
                 _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
                 split_error = exc
     for group in clusters:
+        if quality <= 1e-12:
+            break
         zoomed = _zoom_solve(poly, dpoly, group)
         if zoomed is None:
             continue

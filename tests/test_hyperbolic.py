@@ -284,6 +284,29 @@ def assert_exact_reduction_matches_reference(t, u_sq):
 exact_points = st.tuples(
     st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
     st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)))
+
+
+def _moved(point, move):
+    """point moved by z -> z + move, or by z -> -1/z when move is None."""
+    t, u_sq = point
+    if move is not None:
+        return t + move, u_sq
+    r2 = t * t + u_sq
+    return -t / r2, u_sq / (r2 * r2)
+
+
+# exact ties: Re z = +-1/2 inside, on and above the unit circle, and the unit
+# circle at t = a/c with |a| < c <= 12; each as it is, translated or inverted
+exact_ties = st.builds(
+    _moved,
+    st.one_of(
+        st.tuples(st.sampled_from([Fraction(-1, 2), Fraction(1, 2)]),
+                  st.sampled_from([Fraction(3, 4), Fraction(1), Fraction(4), Fraction(1, 9)])),
+        st.integers(1, 12)
+        .flatmap(lambda c: st.builds(Fraction, st.integers(1 - c, c - 1), st.just(c)))
+        .map(lambda t: (t, 1 - t * t))),
+    st.one_of(st.none(), st.integers(-20, 20)))
+
 _unit_t = st.builds(Fraction, st.integers(-999, 999), st.just(1000))
 boundary_points = st.one_of(
     # Re = +-1/2 above the unit circle, or the corners
@@ -369,6 +392,11 @@ class TestFundamentalDomainReduction:
     @settings(max_examples=300, deadline=None)
     @given(exact_points)
     def test_exact_matches_fraction_reference(self, point):
+        assert_exact_reduction_matches_reference(*point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_ties)
+    def test_exact_ties_match_fraction_reference(self, point):
         assert_exact_reduction_matches_reference(*point)
 
     @settings(max_examples=300, deadline=None)

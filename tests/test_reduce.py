@@ -214,14 +214,21 @@ class TestZeroPoint:
     def test_one_exact_attempt(self, monkeypatch, coeffs, exact):
         # (X^2 + XZ + Z^2)(X^2 + Z^2) has the irrational d = sqrt(3): the float path
         calls, center_exact = [], formred.centroid.center_from_quadratic_factors_exact
+        float_calls, center_float = [], formred.centroid.center_from_quadratic_factors
 
         def counting(factors):
             calls.append(factors)
             return center_exact(factors)
 
+        def counting_float(factors):
+            float_calls.append(factors)
+            return center_float(factors)
+
         monkeypatch.setattr(formred.centroid, "center_from_quadratic_factors_exact", counting)
+        monkeypatch.setattr(formred.centroid, "center_from_quadratic_factors", counting_float)
         zp, diag = zero_point(BinaryForm(coeffs), method="centroid")
         assert len(calls) == 1
+        assert len(float_calls) == (0 if exact else 1)
         assert diag["exact"] is exact and (zp.t_exact is not None) is exact
 
     def test_julia_diag(self, sextic):
