@@ -402,10 +402,24 @@ def _parser():
     return build_parser()
 
 
+def _joined_coeffs(argv):
+    """argv with each `--coeffs <value>` written `--coeffs=<value>`: argparse
+    takes a separate value that starts with '-' (-1,0,-1 or -x^2-z^2, a
+    negative leading coefficient) for an option unless it is a plain number,
+    and reads a joined one as the value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--coeffs" and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     _configure_logging()
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_joined_coeffs(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import centroid as _centroid
-from .errors import FormParseError, RealRootDetected
+from .errors import FormParseError
 from .forms import _left_sum, _Record, _set, normalized_height, transform
 from .hyperbolic import (
     PointH2,
@@ -194,8 +194,6 @@ def _reduce(F, method, tol, prior=None):
     form and heights when its matrix is the same, so one exact transform serves
     both and the two reports hold one copy of each."""
     _check_method(method)
-    if F.degree % 2:
-        raise RealRootDetected("odd-degree real forms always have a real root")
     zp, diag = zero_point(F, method=method, tol=tol)
     if zp.t_exact is not None:
         t_red, u_sq_red, M = reduce_point_exact(zp.t_exact, zp.u_sq_exact)

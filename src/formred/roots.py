@@ -135,7 +135,10 @@ def _aberth(coeffs, max_iter):
     # more than _REPEAT_WATCH; seen maps a list (under ==) to its position
     first, trail, seen = None, [], {}
     # Horner for p and p' is written out (the operations of _horner, in its
-    # order): at these degrees a call per evaluation costs more than its loop
+    # order), and the repulsion sum reads xs in place through others[i], the
+    # indices j != i in order: at these degrees a call per evaluation, or a
+    # copy of xs per root, costs more than its loop
+    others = [[j for j in range(n) if j != i] for i in range(n)]
     for it in range(max_iter):
         moved = 0.0
         for i in range(n):
@@ -152,9 +155,9 @@ def _aberth(coeffs, max_iter):
                 continue
             newton = p / dp
             s = 0j
-            for xj in xs[:i] + xs[i + 1:]:
+            for j in others[i]:
                 try:
-                    s += 1.0 / (xi - xj)
+                    s += 1.0 / (xi - xs[j])
                 except ZeroDivisionError:
                     # coincident estimates: a tiny offset instead of the pole
                     s += 1.0 / ((1e-12 + 1e-12j) * (1.0 + abs(xi)))
@@ -622,7 +625,10 @@ def _split(F, parts, tol):
 def certified_roots(F, tol=1e-10):
     """(roots, RootSet) of F: its n roots as complex_roots gives them (see there
     for how a root cluster is resolved) and their conjugate pairs in the upper
-    half-plane."""
+    half-plane.  An odd-degree form fails before any solve: a real form of odd
+    degree always has a real root."""
+    if F.degree % 2:
+        raise RealRootDetected("odd-degree real forms always have a real root")
     roots = complex_roots(F, tol=tol)
     return roots, pair_conjugates(roots, form=F)
 

@@ -29,6 +29,11 @@ UNCERTIFIED_ARG = ("12879481231461,1043370595706076,38035693887061687,8216754778
                    "11648731601551736482,113240078743956461637,764467819307000782976,"
                    "3538844379615929499156,10750608630599598972808,19353560352678605096256,"
                    "15678381139877300729248")
+# a scrambled degree-11 form: a real root by its degree alone, where a root
+# solve fails the power-sum certificate
+ODD_ARG = ("5392716637468615,24739439890616177,51588149362809210,64544878733526380,"
+           "53837250893064408,31434206799243982,13109755910247007,3905342920422471,"
+           "814370977773176,113212569561078,9443190754184,358031058112")
 # forms with a coefficient too large for a float: a classified failure
 OUT_OF_RANGE_ARGS = [f"{10**400},0,{10**400}", f"1,0,{10**320}"]
 UNPAIRED_MESSAGE = "no conjugate partner for (9.4+0.2j) (closest at distance 1.805e-07)"
@@ -433,6 +438,22 @@ class TestGeodata:
     @pytest.mark.parametrize("case", GEODATA_GOLDEN, ids=[c["name"] for c in GEODATA_GOLDEN])
     def test_output_bytes(self, capsys, case):
         assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
+
+@pytest.mark.parametrize("command", ["zero", "center", "julia", "geodata"])
+def test_odd_degree_fails_before_the_root_solve(capsys, complex_roots_calls, command):
+    code, out, err = run(capsys, command, "--coeffs", ODD_ARG)
+    assert (code, out) == (2, "")
+    assert err == "error: odd-degree real forms always have a real root\n"
+    assert complex_roots_calls == []
+
+
+@pytest.mark.parametrize("command", ["reduce", "zero", "center", "julia", "geodata"])
+@pytest.mark.parametrize("coeffs", ["-1,0,-1", "-x^2-z^2", "-1,-1,-2,-1,-1"])
+def test_coeffs_value_may_start_with_a_minus(capsys, command, coeffs):
+    joined = run(capsys, command, f"--coeffs={coeffs}")
+    assert joined[0] == 0
+    assert run(capsys, command, "--coeffs", coeffs) == joined
 
 
 class TestParserReuse:

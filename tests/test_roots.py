@@ -331,6 +331,19 @@ integral_forms = st.integers(2, 20).flatmap(
     lambda n: st.tuples(st.integers(-HEIGHT, HEIGHT).filter(bool),
                         st.lists(st.integers(-HEIGHT, HEIGHT), min_size=n, max_size=n))
 ).map(lambda lead_rest: BinaryForm((lead_rest[0], *lead_rest[1])))
+quadratic_factors = st.tuples(st.integers(-5, 5), st.integers(1, 10)).filter(
+    lambda ab: ab[0] ** 2 < 4 * ab[1]).map(lambda ab: RealQuadraticFactor(*ab))
+# scrambled products with a squared quadratic factor: nearly all of their
+# Aberth walks run every sweep
+repeated_factor_forms = st.builds(
+    lambda f, rest, seed: transform(from_quadratic_factors([f, f, *rest]),
+                                    random_unimodular(random.Random(seed), bound=20)),
+    quadratic_factors, st.lists(quadratic_factors, max_size=2), st.integers(0, 2**32))
+# a form whose float p' is exactly 0 at estimate 2 in sweep 157 (iteration 156
+# counted from 0): the sweep's dp == 0 branch (the acceptance suite's scramble
+# corpus reaches it)
+DP_ZERO = (301321833800, -1987872961694, 5737531271250, -9462890455157, 9754453298034,
+           -6435204990323, 2653396865541, -625178948876, 64444356925)
 
 
 class TestAberthSweep:
@@ -338,7 +351,7 @@ class TestAberthSweep:
     reference's float operations exactly."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(integral_forms, forms), st.integers(1, 200))
+    @given(st.one_of(integral_forms, forms, repeated_factor_forms), st.integers(1, 200))
     def test_matches_reference_bit_for_bit(self, F, max_iter):
         coeffs = float_coeffs(F)
         assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
@@ -361,6 +374,18 @@ class TestAberthSweep:
             deriv = [coeffs[i] * (n - i) for i in range(n)]
             assert exact_bits([_newton_polish(coeffs, deriv, x) for x in xs]) == exact_bits(
                 [reference_newton_polish(coeffs, deriv, x) for x in xs])
+
+    def test_zero_derivative_branch_matches_reference(self):
+        coeffs = float_coeffs(BinaryForm(DP_ZERO))
+        for max_iter in (156, 157, 158, 200):
+            assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+                reference_aberth(coeffs, max_iter)), max_iter
+        # in sweep 157 estimate 2 keeps its value from sweep 156 until its
+        # turn; p' is exactly 0 there, so the branch moves it by the offset
+        x = _aberth(coeffs, 156)[2]
+        assert reference_horner(formred.roots._derivative(coeffs), x) == 0
+        assert exact_bits(_aberth(coeffs, 157)[2:3]) == exact_bits(
+            [x + (1e-8 + 1e-8j) * (1.0 + abs(x))])
 
     def test_zero_difference_is_the_only_division_error(self):
         # the sweep catches ZeroDivisionError where the reference tests diff == 0
@@ -664,6 +689,16 @@ class TestCertifiedRoots:
                                                    for s in (1, -1)])
         assert rs.pairs[1:] == (PointH2(0, 1),) * 3
         assert abs(rs.pairs[0].as_complex() - complex(-0.5, 3**0.5 / 2)) <= 1e-15
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1), (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1)])
+    def test_odd_degree_fails_before_any_solve(self, monkeypatch, coeffs):
+        def failing(F, tol=1e-10):
+            raise AssertionError("complex_roots called")
+
+        monkeypatch.setattr(formred.roots, "complex_roots", failing)
+        with pytest.raises(RealRootDetected,
+                           match="^odd-degree real forms always have a real root$"):
+            certified_roots(BinaryForm(coeffs))
 
     def test_square_free_failure_is_reraised(self, monkeypatch):
         def failing(F, tol=1e-10):
