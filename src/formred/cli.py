@@ -8,6 +8,7 @@ stderr.
 
 import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -240,11 +241,22 @@ def _csv_row(record):
     return ",".join(str(row[c]) for c in _CSV_COLUMNS)
 
 
+def _batch_input(path):
+    """The batch input as UTF-8 text, "-" for stdin.  A byte that does not
+    decode reads as U+FFFD, so its line becomes a parse_error record and the
+    other lines still reduce."""
+    if path != "-":
+        return open(path, encoding="utf-8", errors="replace")
+    if isinstance(sys.stdin, io.TextIOWrapper) and sys.stdin.errors != "replace":
+        sys.stdin.reconfigure(encoding="utf-8", errors="replace")
+    return contextlib.nullcontext(sys.stdin)
+
+
 def cmd_batch(args):
     """Print each line's record as soon as it is built, then the summary;
     only the summary counts are kept, so memory stays flat on long inputs."""
     try:
-        stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
+        stream = _batch_input(args.input)
     except OSError as exc:
         print(f"cannot open {args.input}: {exc}", file=sys.stderr)
         return 1
@@ -253,7 +265,7 @@ def cmd_batch(args):
         print(",".join(_CSV_COLUMNS))
     counts = dict.fromkeys(("records", "ok", "real_root_detected", "errors",
                             "height_reduced", "height_unchanged", "height_increased"), 0)
-    with stream if stream is not sys.stdin else contextlib.nullcontext(stream) as fh:
+    with stream as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -20,9 +20,11 @@ float iterate.  A float is dyadic, so with the form's denominators cleared once
 (integer coefficients over one common denominator) and both parts of the
 iterate scaled by a common 2^e, Horner runs on Python ints alone; each part is
 rounded once at the end by int / int, which is correctly rounded, so the value
-equals the float of the exact rational value bit for bit.  The zoom re-solve
-shifts to a dyadic centre and scales by a power of two, so its Taylor shift
-runs on ints too.
+equals the float of the exact rational value bit for bit.  An exact Newton
+step takes p and p' from one such pass, which carries p' along as
+P' <- P' X + P on p's own scaled coefficients.  The zoom re-solve shifts to a
+dyadic centre and scales by a power of two, so its Taylor shift runs on ints
+too.
 """
 
 import cmath
@@ -134,21 +136,26 @@ def _aberth(coeffs, max_iter):
     # the lists after sweeps first, first + 1, ..., once one has moved no
     # more than _REPEAT_WATCH; seen maps a list (under ==) to its position
     first, trail, seen = None, [], {}
-    # Horner for p and p' is written out (the operations of _horner, in its
-    # order), and the repulsion sum reads xs in place through others[i], the
-    # indices j != i in order: at these degrees a call per evaluation, or a
-    # copy of xs per root, costs more than its loop
+    # p and p' by Horner, written out in one loop over the pairs (c, c') of
+    # coeffs and deriv, then p's last coefficient: p and p' each see the
+    # operations of _horner, in its order.  The repulsion sum reads xs in
+    # place through others[i], the indices j != i in order: at these degrees
+    # a call per evaluation, or a copy of xs per root, costs more than its
+    # loop.  1.0 / (xi - xs[j]) and 1.0 - newton * s keep a float left
+    # operand, as the reference sweep in the tests does: since Python 3.14 a
+    # float mixes with a complex as a real number (gh-69639), so (1 + 0j) / z
+    # can differ from 1.0 / z in the sign of a zero part
+    pairs, last = list(zip(coeffs, deriv)), coeffs[-1]
     others = [[j for j in range(n) if j != i] for i in range(n)]
     for it in range(max_iter):
         moved = 0.0
         for i in range(n):
             xi = xs[i]
-            p = 0j
-            for c in coeffs:
+            p = dp = 0j
+            for c, d in pairs:
                 p = p * xi + c
-            dp = 0j
-            for c in deriv:
-                dp = dp * xi + c
+                dp = dp * xi + d
+            p = p * xi + last
             if dp == 0:
                 xs[i] = xi + (1e-8 + 1e-8j) * (1.0 + abs(xi))
                 moved = math.inf
@@ -239,9 +246,6 @@ class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
     def of_form(cls, F):
         return cls(*_integer_coeffs(F))
 
-    def derivative(self):
-        return _IntegerPoly(_derivative(self.ints), self.den)
-
 
 def _dyadic(x):
     """(A, B, e) with x = (A + iB) / 2^e exactly, for a complex x with finite parts."""
@@ -268,7 +272,29 @@ def _exact_value(poly, dyadic):
     return complex(pr / scale, pi / scale)
 
 
-def _exact_newton_polish(poly, dpoly, x, multiplicity):
+def _exact_value_and_slope(poly, dyadic):
+    """(p, p') at the dyadic point (A + iB) / 2^e, each part the correctly
+    rounded float, from one integer Horner pass.
+
+    With X = A + iB and P the homogeneous Horner value of _exact_value, the
+    pass carries P' <- P' X + P before each P <- P X + c 2^(ek): P' ends as
+    den * 2^(e(n-1)) * p', the same integer that Horner on the derivative's
+    coefficients gives.
+    """
+    A, B, e = dyadic
+    ints = poly.ints
+    pr, pi, dr, di = ints[0], 0, 0, 0
+    shift = 0
+    for c in ints[1:]:
+        shift += e
+        dr, di = dr * A - di * B + pr, dr * B + di * A + pi
+        pr, pi = pr * A - pi * B + (c << shift), pr * B + pi * A
+    dscale = poly.den << (shift - e)
+    scale = dscale << e
+    return complex(pr / scale, pi / scale), complex(dr / dscale, di / dscale)
+
+
+def _exact_newton_polish(poly, x, multiplicity):
     """Newton steps x -= m p/p' with the polynomial evaluated exactly at the float iterate.
 
     Float Horner on large integer coefficients loses enough accuracy to spoil
@@ -276,32 +302,25 @@ def _exact_newton_polish(poly, dpoly, x, multiplicity):
     representation of the iterate itself.
     """
     for _ in range(3):
-        at = _dyadic(x)
-        dp = _exact_value(dpoly, at)
+        p, dp = _exact_value_and_slope(poly, _dyadic(x))
         if dp == 0:
             break
-        step = multiplicity * _exact_value(poly, at) / dp
+        step = multiplicity * p / dp
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
     return x
 
 
-def _refine(poly, dpoly, estimates):
+def _refine(poly, estimates):
     """Merge estimates within the clustering radius to their mean, then polish
     each cluster by exact Newton with its size as the multiplicity."""
     out = []
     for members in _groups(estimates, _CLUSTER_RADIUS):
         mult = len(members)
-        value = _exact_newton_polish(poly, dpoly, _left_sum(members) / mult, mult)
+        value = _exact_newton_polish(poly, _left_sum(members) / mult, mult)
         out.extend([value] * mult)
     return out
-
-
-def _exact_residual(poly, r):
-    """|p(r)| / (height * (1 + |r|)^n), with the numerator evaluated exactly."""
-    h = max(abs(c) for c in poly.ints) / poly.den
-    return abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** (len(poly.ints) - 1))
 
 
 def _power_sum_defect(F, roots):
@@ -361,7 +380,7 @@ def _taylor_shift_scaled(poly, k, m):
     return _IntegerPoly(ints[::-1], den)
 
 
-def _zoom_solve(poly, dpoly, cluster):
+def _zoom_solve(poly, cluster):
     """Re-solve after recentering on a tight root cluster.
 
     A Moebius substitution can contract roots into clusters whose diameter is
@@ -387,7 +406,7 @@ def _zoom_solve(poly, dpoly, cluster):
     x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
     _debug(__name__, "zoom re-solve at %s with scale %s", x0f, sf)
-    return _refine(poly, dpoly, back)
+    return _refine(poly, back)
 
 
 def complex_roots(F, tol=1e-10):
@@ -422,10 +441,9 @@ def _solve(F, tol):
     that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
     poly = _IntegerPoly.of_form(F)
-    dpoly = poly.derivative()
     deriv = _derivative(coeffs)
     xs = _aberth(coeffs, _MAX_SWEEPS)
-    xs = _refine(poly, dpoly, [_newton_polish(coeffs, deriv, x) for x in xs])
+    xs = _refine(poly, [_newton_polish(coeffs, deriv, x) for x in xs])
     # clusters of nearby roots are exactly where double precision runs out;
     # a repeated factor is split off exactly, otherwise zoom into each cluster
     # and keep the result when the integrity certificates improve
@@ -446,7 +464,7 @@ def _solve(F, tol):
     for group in clusters:
         if quality <= 1e-12:
             break
-        zoomed = _zoom_solve(poly, dpoly, group)
+        zoomed = _zoom_solve(poly, group)
         if zoomed is None:
             continue
         new_quality = _quality(F, zoomed)
@@ -472,12 +490,15 @@ def _solve(F, tol):
 
 def _certify(F, poly, roots, tol):
     """Raise ConvergenceFailure unless the roots pass the power-sum and the
-    exact-residual certificates of F (poly: F as an _IntegerPoly)."""
+    exact-residual certificates of F (poly: F as an _IntegerPoly).  The
+    residual of a root r is |p(r)| / (height * (1 + |r|)^n), with the
+    numerator evaluated exactly."""
     defect = _power_sum_defect(F, roots)
     if defect > 1e-8:
         raise ConvergenceFailure(f"root multiset fails the power-sum certificate ({defect:.3e})")
+    h, n = max(abs(c) for c in poly.ints) / poly.den, len(poly.ints) - 1
     for r in roots:
-        rel = _exact_residual(poly, r)
+        rel = abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** n)
         if not rel <= tol:
             raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
 

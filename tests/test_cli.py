@@ -397,6 +397,34 @@ class TestBatch:
         assert printed[0].splitlines()[1].startswith("first,ok,6,43940,12740")
         assert rest.splitlines()[0].startswith("second,ok,2")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_line_is_one_parse_error(self, capsys, tmp_path, source, fmt):
+        data = b"a,1,0,1\nb,1,\xff,1\nc,1,2,5\n"
+        if source == "file":
+            path = tmp_path / "forms.txt"
+            path.write_bytes(data)
+            code, out, err = run(capsys, "batch", "--input", str(path), "--format", fmt)
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from formred.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "batch", "--input", "-", "--format", fmt],
+                input=data, env=_src_env(), capture_output=True)
+            code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if fmt == "csv":
+            assert [line.split(",")[:2] for line in lines[1:4]] == [
+                ["a", "ok"], ["b", "parse_error"], ["c", "ok"]]
+            assert {"# records = 3", "# ok = 2", "# errors = 1"} <= set(lines[4:])
+        else:
+            *records, summary = [json.loads(line) for line in lines]
+            assert [(r["id"], r["status"]) for r in records] == [
+                ("a", "ok"), ("b", "parse_error"), ("c", "ok")]
+            assert records[1]["error"] == "cannot read coefficient from '\ufffd'"
+            assert (summary["records"], summary["ok"], summary["errors"]) == (3, 2, 1)
+
     @pytest.mark.parametrize("form", [SEXTIC_ARG, REPEATED_ARG])
     def test_both_methods_solve_roots_as_compare_methods_does(self, capsys, tmp_path,
                                                              complex_roots_calls, form):
@@ -407,6 +435,18 @@ class TestBatch:
         complex_roots_calls.clear()
         formred.compare_methods(formred.parse(form))
         assert batch_calls == len(complex_roots_calls) > 0
+
+
+# X^2 + Z^2 under (75025 46368; 46368 28657) and under a smaller Fibonacci
+# matrix: totally complex, but their float roots land within the realness
+# threshold of the axis (exit 2) or fail the power-sum certificate (exit 3)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: ill-conditioned quadratics")
+@pytest.mark.parametrize("coeffs", ["7778742049,9615053952,2971215073",
+                                    "165580141,204668310,63245986"])
+def test_ill_conditioned_quadratic_reduces_to_the_unit_form(capsys, coeffs):
+    code, out, _ = run(capsys, "reduce", "--coeffs", coeffs)
+    assert code == 0
+    assert json.loads(out)["reduced"]["coefficients"] == ["1", "0", "1"]
 
 
 class TestGeodata:

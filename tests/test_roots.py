@@ -21,6 +21,7 @@ from formred.forms import (
     BinaryForm,
     RealQuadraticFactor,
     UnimodularMatrix,
+    _left_sum,
     expand_quadratic_factors,
     from_quadratic_factors,
     height,
@@ -32,7 +33,9 @@ from formred.hyperbolic import PointH2
 from formred.roots import (
     _aberth,
     _dyadic,
+    _exact_newton_polish,
     _exact_value,
+    _exact_value_and_slope,
     _IntegerPoly,
     _newton_polish,
     _rationalize,
@@ -192,6 +195,12 @@ def fraction_horner(coeffs, re, im):
     return pr, pi
 
 
+def derivative(F):
+    """F(X, 1)'s coefficients (descending), exact."""
+    n = F.degree
+    return [c * (n - i) for i, c in enumerate(F.coeffs[:-1])]
+
+
 def fraction_taylor_shift_scaled(coeffs, x0, s):
     """Reference: exact coefficients (descending) of F(x0 + s*w, 1) in w."""
     work = list(coeffs)
@@ -240,12 +249,19 @@ class TestExactEvaluation:
     @settings(max_examples=100, deadline=None)
     @given(forms, parts, parts)
     def test_derivative_matches_fraction_horner(self, F, re, im):
-        n = F.degree
-        dcoeffs = [c * (n - i) for i, c in enumerate(F.coeffs[:-1])]
         x = complex(re, im)
-        got = _exact_value(_IntegerPoly.of_form(F).derivative(), _dyadic(x))
-        want = complex(*fraction_horner(dcoeffs, Fraction(re), Fraction(im)))
+        _, got = _exact_value_and_slope(_IntegerPoly.of_form(F), _dyadic(x))
+        want = complex(*fraction_horner(derivative(F), Fraction(re), Fraction(im)))
         assert bits(got) == bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms, parts, parts)
+    def test_one_pass_matches_two_evaluations(self, F, re, im):
+        poly, at = _IntegerPoly.of_form(F), _dyadic(complex(re, im))
+        p, dp = _exact_value_and_slope(poly, at)
+        assert exact_bits([p]) == exact_bits([_exact_value(poly, at)])
+        want = complex(*fraction_horner(derivative(F), Fraction(re), Fraction(im)))
+        assert bits(dp) == bits(want)
 
     @given(forms)
     def test_integer_poly_is_exact(self, F):
@@ -394,6 +410,52 @@ class TestAberthSweep:
                 1.0 / zero
         for tiny in (complex(5e-324, 0.0), complex(-0.0, 5e-324), complex(math.nan, 0.0)):
             assert isinstance(1.0 / tiny, complex)
+
+
+def reference_exact_newton_polish(F, x, multiplicity):
+    """Reference: exact Newton steps with p' and p from two separate Fraction
+    Horner evaluations, each part rounded by float(Fraction)."""
+    dcoeffs = derivative(F)
+    for _ in range(3):
+        re, im = Fraction(x.real), Fraction(x.imag)
+        dp = complex(*map(float, fraction_horner(dcoeffs, re, im)))
+        if dp == 0:
+            break
+        step = multiplicity * complex(*map(float, fraction_horner(F.coeffs, re, im))) / dp
+        x = x - step
+        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+            break
+    return x
+
+
+class TestExactNewton:
+    """The one-pass exact Newton step takes the reference's steps bit for bit."""
+
+    def test_seeded_clusters_match_reference(self):
+        rng = random.Random(25)
+        starts = 0
+        for multiplicity in range(1, 5):
+            for _ in range(3):
+                factors = [random_integer_factor(rng) for _ in range(rng.randint(0, 2))]
+                F = transform(from_quadratic_factors(
+                    [random_integer_factor(rng)] * multiplicity + factors),
+                    random_unimodular(rng, bound=20))
+                poly = _IntegerPoly.of_form(F)
+                xs = _aberth(float_coeffs(F), 200)
+                for group in formred.roots._groups(xs, formred.roots._ZOOM_GROUP_RADIUS):
+                    # the group's mean, as the cluster merge takes it, and each member
+                    for x in [_left_sum(group) / len(group), *group]:
+                        m = min(multiplicity, len(group))
+                        assert exact_bits([_exact_newton_polish(poly, x, m)]) == exact_bits(
+                            [reference_exact_newton_polish(F, x, m)])
+                        starts += 1
+        assert starts > 100
+
+    def test_zero_slope_stops(self):
+        F = BinaryForm((1, 0, 1))
+        assert exact_bits([_exact_newton_polish(_IntegerPoly.of_form(F), 0j, 1)]) == [
+            (0.0.hex(), 0.0.hex())]
+        assert reference_exact_newton_polish(F, 0j, 1) == 0j
 
 
 # exact-centroid corpus form (perfbench, seed 1, #3): its Aberth walk repeats
