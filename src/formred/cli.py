@@ -24,16 +24,17 @@ from .errors import (
     UnpairedRoot,
 )
 from .forms import parse, serialize
-from .hyperbolic import dist_h2, in_fundamental_domain, reduce_point_to_fundamental_domain
+from .hyperbolic import dist_h2, in_fundamental_domain
 from .reduce import (
     METHODS,
     SCHEMA_VERSION,
     compare_methods,
     format_decimal,
     reduce_form,
+    reduce_zero_point,
     zero_point,
 )
-from .roots import certified_roots
+from .roots import root_set
 
 
 # (error class, batch status, exit code), most specific first; any other
@@ -143,15 +144,14 @@ def _methods(method):
 
 
 def _zero_points(coeffs, methods, tol):
-    """(F, roots, RootSet, {method: (zero point, diagnostics)}) of the form
-    `coeffs` under each of `methods`, all from one root solve."""
-    F = parse(coeffs)
-    roots, rs = certified_roots(F, tol=tol)
-    return F, roots, rs, {m: zero_point(F, method=m, tol=tol, rootset=rs) for m in methods}
+    """(RootSet, {method: (zero point, diagnostics)}) of the form `coeffs`
+    under each of `methods`, all from one root solve."""
+    rs = root_set(parse(coeffs), tol=tol)
+    return rs, {m: zero_point(rs, method=m, tol=tol) for m in methods}
 
 
 def cmd_zero(args):
-    *_, results = _zero_points(args.coeffs, _methods(args.method), args.tol)
+    _, results = _zero_points(args.coeffs, _methods(args.method), args.tol)
     gap = (dist_h2(results["centroid"][0].point, results["julia"][0].point)
            if len(results) == 2 else None)
     if args.format != "text":
@@ -177,11 +177,10 @@ def cmd_zero(args):
 
 def cmd_zero_map(args):
     """`center` and `julia`: one zero map and whether it lies in the fundamental domain."""
-    [(method, (zp, diag))] = _zero_points(args.coeffs, (args.method,), args.tol)[-1].items()
+    [(method, (zp, diag))] = _zero_points(args.coeffs, (args.method,), args.tol)[1].items()
     inside = in_fundamental_domain(zp.point)
     if args.format != "text":
-        key = "center" if method == "centroid" else "julia"
-        _emit({"schema_version": SCHEMA_VERSION, key: zp.to_dict(),
+        _emit({"schema_version": SCHEMA_VERSION, args.command: zp.to_dict(),
                "diagnostics": diag, "in_fundamental_domain": inside})
         return 0
     if zp.t_exact is not None:
@@ -312,14 +311,14 @@ def _count(counts, record, primary_method):
 def cmd_geodata(args):
     """Both zero maps of one root solve, the roots, and the reduction path of
     the requested zero map (the centroid's for `both`)."""
-    F, roots, rs, zeros = _zero_points(args.coeffs, METHODS, args.tol)
+    rs, zeros = _zero_points(args.coeffs, METHODS, args.tol)
     method = "centroid" if args.method == "both" else args.method
     path = []
-    _, matrix = reduce_point_to_fundamental_domain(zeros[method][0].point, trace=path)
+    _, matrix = reduce_zero_point(zeros[method][0], trace=path)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "degree": F.degree,
-        "roots": [[r.real, r.imag] for r in roots],
+        "degree": rs.form.degree,
+        "roots": [[r.real, r.imag] for r in rs.roots],
         "pairs": [[p.x, p.y] for p in rs.pairs],
         "zeros": {m: zp.to_dict() for m, (zp, _) in zeros.items()},
         "reduction": {
@@ -364,44 +363,46 @@ def build_parser():
                                  "via hyperbolic zero maps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_method="centroid", methods=("centroid", "julia", "both"),
-                   default_format="json", formats=("json", "text")):
-        p.add_argument("--method", choices=methods, default=default_method)
-        p.add_argument("--format", choices=formats, default=default_format)
+    def add_common(p, method=None, formats=(), fmt=None):
+        """--tol, and --method, --format and --precision where a command reads them."""
+        if method is not None:
+            p.add_argument("--method", choices=("centroid", "julia", "both"), default=method)
+        if formats:
+            p.add_argument("--format", choices=formats, default=fmt)
         p.add_argument("--tol", type=positive(float), default=1e-10)
-        p.add_argument("--precision", type=positive(int), default=12,
-                       help="significant digits in text output")
+        if "text" in formats:
+            p.add_argument("--precision", type=positive(int), default=12,
+                           help="significant digits in text output")
 
     p = sub.add_parser("reduce", help="reduce a single form")
     p.add_argument("--coeffs", required=True,
                    help="descending-power coefficients '1,-24,...' or polynomial 'x^6-...'")
-    add_common(p)
+    add_common(p, method="centroid", formats=("json", "text"), fmt="json")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("zero", help="print the zero-map value(s) of a form")
     p.add_argument("--coeffs", required=True)
-    add_common(p, default_method="both", default_format="text")
+    add_common(p, method="both", formats=("json", "text"), fmt="text")
     p.set_defaults(func=cmd_zero)
 
     p = sub.add_parser("center", help="hyperbolic center-of-mass zero map")
     p.add_argument("--coeffs", required=True)
-    add_common(p, default_method="centroid", methods=("centroid",), default_format="text")
-    p.set_defaults(func=cmd_zero_map)
+    add_common(p, formats=("json", "text"), fmt="text")
+    p.set_defaults(func=cmd_zero_map, method="centroid")
 
     p = sub.add_parser("julia", help="distance-sum (Julia) zero map")
     p.add_argument("--coeffs", required=True)
-    add_common(p, default_method="julia", methods=("julia",), default_format="text")
-    p.set_defaults(func=cmd_zero_map)
+    add_common(p, formats=("json", "text"), fmt="text")
+    p.set_defaults(func=cmd_zero_map, method="julia")
 
     p = sub.add_parser("batch", help="reduce forms listed one per line: id,c0,c1,...")
     p.add_argument("--input", required=True, help="input file, or - for stdin")
-    add_common(p, default_method="both", default_format="jsonl",
-               formats=("jsonl", "csv"))
+    add_common(p, method="both", formats=("jsonl", "csv"), fmt="jsonl")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("geodata", help="emit roots/zeros/reduction path as JSON")
     p.add_argument("--coeffs", required=True)
-    add_common(p, default_method="both", formats=("json",))
+    add_common(p, method="both")
     p.set_defaults(func=cmd_geodata)
 
     return parser

@@ -257,7 +257,12 @@ def reduce_point_to_fundamental_domain(z, trace=None):
     raise ConvergenceFailure("fundamental-domain reduction did not terminate")
 
 
-def reduce_point_exact(t, u_sq):
+def _form_root(A, B, C):
+    """The root in H of the integer form (A, B, C), each part rounded correctly."""
+    return PointH2(-B / (2 * A), math.sqrt((4 * A * C - B * B) / (4 * A * A)))
+
+
+def reduce_point_exact(t, u_sq, trace=None):
     """Exact Gauss reduction of the point t + i*sqrt(u_sq) on an integer form.
 
     Returns (t', u_sq', M) with z.M = t' + i*sqrt(u_sq') reduced and boundary
@@ -265,7 +270,8 @@ def reduce_point_exact(t, u_sq):
     the point is the root in H of the positive definite integer form
     (A, B, C) = (q^2 s, -2pqs, p^2 s + r q^2): t = -B/2A, u^2 = (4AC - B^2)/4A^2
     and |z|^2 = C/A.  z -> z - n moves it to (A, B + 2nA, C + nB + n^2 A) and
-    z -> -1/z to (C, -B, A), so the loop runs on integers alone.
+    z -> -1/z to (C, -B, A), so the loop runs on integers alone.  `trace`,
+    when a list, collects the points visited.
     """
     t, u2 = Fraction(t), Fraction(u_sq)
     if u2 <= 0:
@@ -274,10 +280,14 @@ def reduce_point_exact(t, u_sq):
     A, B, C = q * q * s, -2 * p * q * s, p * p * s + r * q * q
     M = UnimodularMatrix.identity()
     for _ in range(_MAX_STEPS):
+        if trace is not None:
+            trace.append(_form_root(A, B, C))
         n = -((A + B) // (2 * A))  # ceil(t - 1/2)
         if n:
             B, C = B + 2 * n * A, C + n * (B + n * A)
             M = M @ UnimodularMatrix.translation(n)
+            if trace is not None:
+                trace.append(_form_root(A, B, C))
         if C < A:
             A, B, C = C, -B, A
             M = M @ UnimodularMatrix.inversion()
@@ -285,5 +295,7 @@ def reduce_point_exact(t, u_sq):
         if C == A and B > 0:
             B = -B
             M = M @ UnimodularMatrix.inversion()
+            if trace is not None:
+                trace.append(_form_root(A, B, C))
         return Fraction(-B, 2 * A), Fraction(4 * A * C - B * B, 4 * A * A), M
     raise ConvergenceFailure("fundamental-domain reduction did not terminate")

@@ -26,7 +26,7 @@ from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
 from .forms import _left_sum, _Record, _set
 from .hyperbolic import PointH2, PointH3
-from .roots import RootSet, _debug, root_set
+from .roots import _debug, root_set
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
@@ -300,11 +300,11 @@ def julia_zero(roots, tol=DEFAULT_TOL, start=None):
 def julia_zero_real(pairs, tol=DEFAULT_TOL):
     """Minimizer of F~ restricted to the real cross-section.
 
-    `pairs` is a RootSet or a sequence of upper half-plane points, one per
-    conjugate pair; the objective counts each pair twice, so the value matches
-    distance_sum over the full root list.
+    `pairs` is a sequence of upper half-plane points, one per conjugate pair
+    (a RootSet's pairs); the objective counts each pair twice, so the value
+    matches distance_sum over the full root list.
     """
-    pts = pairs.pairs if isinstance(pairs, RootSet) else tuple(pairs)
+    pts = tuple(pairs)
     if not pts:
         raise ValueError("need at least one conjugate pair")
     start = center_of_mass_h2(pts)
@@ -322,4 +322,4 @@ def julia_quadratic(F):
     """
     from .paramspace import inv_zero_quadratic
 
-    return inv_zero_quadratic(julia_zero_real(root_set(F)).point)
+    return inv_zero_quadratic(julia_zero_real(root_set(F).pairs).point)

@@ -1,6 +1,6 @@
-"""End-to-end reduction: zero map -> fundamental-domain matrix -> reduced form.
+"""End-to-end reduction: root solve -> zero map -> fundamental-domain matrix -> reduced form.
 
-Both zero maps are supported: "centroid" (closed-form hyperbolic center of
+Both zero maps read one RootSet: "centroid" (closed-form hyperbolic center of
 mass of the roots) and "julia" (distance-sum minimizer).  A reduction report
 records the zero point, the matrix, the transformed form and the heights; the
 report serializes deterministically (exact coefficients as strings, point
@@ -154,26 +154,23 @@ def julia_zero_real(pairs, tol):
     return julia_zero_real(pairs, tol=tol)
 
 
-def zero_point(F, method="centroid", tol=1e-10, rootset=None):
-    """Zero-map value of F under the requested method, with diagnostics."""
+def zero_point(rs, method="centroid", tol=1e-10):
+    """Zero-map value under `method` of the form the RootSet rs solves, with diagnostics."""
     _check_method(method)
-    rs = rootset if rootset is not None else root_set(F, tol=tol)
     if method == "centroid":
-        factors = real_quadratic_factors(F, tol=tol, rootset=rs)
+        factors = real_quadratic_factors(rs)
         exact = _centroid.center_from_quadratic_factors_exact(factors)
         if exact is None:
             zp = ZeroPoint(_centroid.center_from_quadratic_factors(factors))
         else:
             zp = ZeroPoint(PointH2(float(exact[0]), math.sqrt(float(exact[1]))), *exact)
         pt = zp.point
-        xs = [p.x for p in rs.pairs]
-        ys = [p.y for p in rs.pairs]
-        r1 = _left_sum((pt.x - x) / y for x, y in zip(xs, ys))
-        r2 = _left_sum((pt.y * pt.y - _centroid.q_of_t(pt.x, x, y)) / y for x, y in zip(xs, ys))
+        r1 = _left_sum((pt.x - p.x) / p.y for p in rs.pairs)
+        r2 = _left_sum((pt.y * pt.y - _centroid.q_of_t(pt.x, p.x, p.y)) / p.y for p in rs.pairs)
         diag = {"root_residual": rs.residual, "exact": exact is not None,
                 "system_residuals": [r1, r2]}
         return zp, diag
-    result = julia_zero_real(rs, tol=tol)
+    result = julia_zero_real(rs.pairs, tol=tol)
     diag = {"root_residual": rs.residual, "exact": False,
             "gradient_norm": result.gradient_norm, "iterations": result.iterations,
             "objective": result.objective}
@@ -194,13 +191,8 @@ def _reduce(F, method, tol, prior=None):
     form and heights when its matrix is the same, so one exact transform serves
     both and the two reports hold one copy of each."""
     _check_method(method)
-    zp, diag = zero_point(F, method=method, tol=tol)
-    if zp.t_exact is not None:
-        t_red, u_sq_red, M = reduce_point_exact(zp.t_exact, zp.u_sq_exact)
-        red_pt = ZeroPoint(PointH2(float(t_red), math.sqrt(float(u_sq_red))), t_red, u_sq_red)
-    else:
-        pt, M = reduce_point_to_fundamental_domain(zp.point)
-        red_pt = ZeroPoint(pt)
+    zp, diag = zero_point(root_set(F, tol=tol), method=method, tol=tol)
+    red_pt, M = reduce_zero_point(zp)
     if prior is not None and prior.matrix == M:
         M, reduced, height_after = prior.matrix, prior.reduced, prior.height_after
     else:
@@ -219,9 +211,19 @@ def _reduce(F, method, tol, prior=None):
     )
 
 
+def reduce_zero_point(zp, trace=None):
+    """(reduced ZeroPoint, M): zp moved into the fundamental domain by M, exactly
+    when zp is rational.  `trace`, when a list, collects the points visited."""
+    if zp.t_exact is not None:
+        t_red, u_sq_red, M = reduce_point_exact(zp.t_exact, zp.u_sq_exact, trace=trace)
+        return ZeroPoint(PointH2(float(t_red), math.sqrt(float(u_sq_red))), t_red, u_sq_red), M
+    pt, M = reduce_point_to_fundamental_domain(zp.point, trace=trace)
+    return ZeroPoint(pt), M
+
+
 def is_reduced(F, method="centroid"):
     """True when the zero-map value of F already lies in the closed domain."""
-    zp, _ = zero_point(F, method=method)
+    zp, _ = zero_point(root_set(F), method=method)
     return in_fundamental_domain(zp.point)
 
 

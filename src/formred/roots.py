@@ -1,4 +1,5 @@
-"""Numeric roots of real binary forms and their conjugate pairing.
+"""Numeric roots of real binary forms and their conjugate pairing, solved once
+per form into a RootSet (root_set) that the zero maps and the factors read.
 
 Roots are found by the Aberth-Ehrlich simultaneous iteration started on a
 deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
@@ -64,16 +65,16 @@ def _debug(logger, msg, *args):
 
 
 class RootSet(_Record):
-    """Upper half-plane representatives of the conjugate root pairs of a real form."""
+    """A solved form: the BinaryForm, its roots in complex_roots' order, their
+    conjugate pairs (pair_conjugates) and the float residual max |F(r, 1)|."""
 
-    __slots__ = ("pairs", "residual")
+    __slots__ = ("form", "roots", "pairs", "residual")
 
-    def __init__(self, pairs, residual=0.0):
+    def __init__(self, form, roots, pairs, residual):
+        _set(self, "form", form)
+        _set(self, "roots", tuple(roots))
         _set(self, "pairs", tuple(pairs))
         _set(self, "residual", residual)
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def _horner(coeffs, x):
@@ -248,36 +249,24 @@ class _IntegerPoly(namedtuple("_IntegerPoly", "ints den")):
 
 
 def _dyadic(x):
-    """(A, B, e) with x = (A + iB) / 2^e exactly, for a complex x with finite parts."""
-    a, da = x.real.as_integer_ratio()
-    b, db = x.imag.as_integer_ratio()
+    """(A, B, e) with x = (A + iB) / 2^e exactly; ConvergenceFailure unless x is finite."""
+    try:
+        a, da = x.real.as_integer_ratio()
+        b, db = x.imag.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ConvergenceFailure(f"root iterate {x} leaves the float range") from None
     ea, eb = da.bit_length() - 1, db.bit_length() - 1
     e = max(ea, eb)
     return a << (e - ea), b << (e - eb), e
-
-
-def _exact_value(poly, dyadic):
-    """p at the dyadic point (A + iB) / 2^e, each part the correctly rounded float.
-
-    Homogeneous Horner on ints gives den * 2^(en) * p exactly; one int / int
-    per part rounds it.
-    """
-    A, B, e = dyadic
-    pr = pi = 0
-    shift = 0
-    for c in poly.ints:
-        pr, pi = pr * A - pi * B + (c << shift), pr * B + pi * A
-        shift += e
-    scale = poly.den << (e * (len(poly.ints) - 1))
-    return complex(pr / scale, pi / scale)
 
 
 def _exact_value_and_slope(poly, dyadic):
     """(p, p') at the dyadic point (A + iB) / 2^e, each part the correctly
     rounded float, from one integer Horner pass.
 
-    With X = A + iB and P the homogeneous Horner value of _exact_value, the
-    pass carries P' <- P' X + P before each P <- P X + c 2^(ek): P' ends as
+    With X = A + iB, homogeneous Horner P <- P X + c 2^(ek) on ints ends as
+    den * 2^(en) * p exactly, and one int / int per part rounds it.  The pass
+    carries P' <- P' X + P before each step of P: P' ends as
     den * 2^(e(n-1)) * p', the same integer that Horner on the derivative's
     coefficients gives.
     """
@@ -417,23 +406,27 @@ def complex_roots(F, tol=1e-10):
     sums must also match their exact coefficient values.
 
     One ladder, top to bottom.  A form with a coefficient too large for a float
-    fails at once.  The first solve runs Aberth, float Newton on each estimate,
-    the cluster merge, and exact Newton on each merged value with the
-    cluster's size as its multiplicity.  When its conjugate or power-sum
-    defect exceeds 1e-12 and some estimates group within the zoom radius, F
-    is tested once for a repeated factor (Yun's exact decomposition on ints).
-    A form with one is split into its square-free parts P_i of multiplicity i:
-    each part is solved by this function and paired on its own, its roots are
-    repeated i times, and the certificates are checked on F itself.  The
-    groups of a square-free form, or of a form whose split failed, are zoomed
-    into in turn from the same first-solve estimates, until the defect is
-    1e-12 or below: re-solved in exact coordinates recentred on the group,
-    kept when the defect falls.  When the roots then fail to certify, or a
-    failed split's zoomed roots fail to pair, the split's error is raised; a
-    form with a repeated factor that was not split yet is split, and a
-    square-free form re-raises.  A linear part is a real root.
+    fails at once, and a solve fails where its float arithmetic overflows or
+    divides by zero.  The first solve runs Aberth, float Newton on each
+    estimate, the cluster merge, and exact Newton on each merged value with the
+    cluster's size as its multiplicity.  When its conjugate or power-sum defect
+    exceeds 1e-12 and some estimates group within the zoom radius, F is tested
+    once for a repeated factor (Yun's exact decomposition on ints).  A form
+    with one is split into its square-free parts P_i of multiplicity i: each
+    part is solved by this function and paired on its own, its roots are
+    repeated i times, and the certificates are checked on F itself.  The groups
+    of a square-free form, or of a form whose split failed, are zoomed into in
+    turn from the same first-solve estimates, until the defect is 1e-12 or
+    below: re-solved in exact coordinates recentred on the group, kept when the
+    defect falls.  When the roots then fail to certify, or a failed split's
+    zoomed roots fail to pair, the split's error is raised; a form with a
+    repeated factor that was not split yet is split, and a square-free form
+    re-raises.  A linear part is a real root.
     """
-    return _solve(F, tol)
+    try:
+        return _solve(F, tol)
+    except ArithmeticError:
+        raise ConvergenceFailure("root solve leaves the float range") from None
 
 
 def _solve(F, tol):
@@ -498,17 +491,17 @@ def _certify(F, poly, roots, tol):
         raise ConvergenceFailure(f"root multiset fails the power-sum certificate ({defect:.3e})")
     h, n = max(abs(c) for c in poly.ints) / poly.den, len(poly.ints) - 1
     for r in roots:
-        rel = abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** n)
+        rel = abs(_exact_value_and_slope(poly, _dyadic(r))[0]) / (h * (1.0 + abs(r)) ** n)
         if not rel <= tol:
             raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
 
 
-def pair_conjugates(roots, form=None):
+def pair_conjugates(roots):
     """Match roots into conjugate pairs; representatives get positive imaginary part.
 
     Raises RealRootDetected when some root is within the realness threshold of
-    the real axis, and UnpairedRoot when matching fails.  The result does not
-    depend on the input order.
+    the real axis, and UnpairedRoot when matching fails.  The result, a sorted
+    tuple of PointH2s, does not depend on the input order.
     """
     roots = list(roots)
     for r in roots:
@@ -528,8 +521,7 @@ def pair_conjugates(roots, form=None):
         pool.remove(match)
         rep = (r + match.conjugate()) / 2
         pairs.append(PointH2(rep.real, rep.imag))
-    pairs.sort(key=lambda p: (p.x, p.y))
-    return RootSet(tuple(pairs), 0.0 if form is None else _float_residual(form, roots))
+    return tuple(sorted(pairs, key=lambda p: (p.x, p.y)))
 
 
 def _pseudo_remainder(u, v):
@@ -634,8 +626,8 @@ def _split(F, parts, tol):
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
         part_roots = _solve(BinaryForm(tuple(P)), tol)
-        # a part whose roots do not pair fails the split; certified_roots
-        # pairs the whole form again, since complex_roots returns roots only
+        # a part whose roots do not pair fails the split; root_set pairs
+        # the whole form again, since complex_roots returns roots only
         pair_conjugates(part_roots)
         roots += part_roots * i
     _certify(F, _IntegerPoly.of_form(F), roots, tol)
@@ -643,21 +635,14 @@ def _split(F, parts, tol):
     return roots
 
 
-def certified_roots(F, tol=1e-10):
-    """(roots, RootSet) of F: its n roots as complex_roots gives them (see there
-    for how a root cluster is resolved) and their conjugate pairs in the upper
-    half-plane.  An odd-degree form fails before any solve: a real form of odd
-    degree always has a real root."""
+def root_set(F, tol=1e-10):
+    """F solved once, as a RootSet (see complex_roots for how a root cluster is
+    resolved; pair_conjugates raises on a real root).  An odd-degree form fails
+    before any solve: a real form of odd degree always has a real root."""
     if F.degree % 2:
         raise RealRootDetected("odd-degree real forms always have a real root")
     roots = complex_roots(F, tol=tol)
-    return roots, pair_conjugates(roots, form=F)
-
-
-def root_set(F, tol=1e-10):
-    """Roots of F paired into the upper half-plane (raises on real roots);
-    see complex_roots for the square-free split of forms with repeated factors."""
-    return certified_roots(F, tol=tol)[1]
+    return RootSet(F, roots, pair_conjugates(roots), _float_residual(F, roots))
 
 
 def _rationalize(F, factors):
@@ -690,17 +675,17 @@ def _rationalize(F, factors):
     return None
 
 
-def real_quadratic_factors(F, tol=1e-10, rootset=None):
+def real_quadratic_factors(rs):
     """Factor F/a0 over the reals into monic quadratics X^2 + a_j XZ + b_j Z^2.
 
-    Each conjugate pair x + iy contributes (a_j, b_j) = (-2x, x^2 + y^2).  When
-    rounding the numeric factors to small rationals reproduces F exactly, the
-    exact factors are returned (enabling the exact centroid path downstream).
+    Each conjugate pair x + iy of the RootSet rs contributes (a_j, b_j) =
+    (-2x, x^2 + y^2).  When rounding these to small rationals reproduces
+    F = rs.form exactly, the exact factors are returned (enabling the exact
+    centroid path downstream).
     """
-    rs = rootset if rootset is not None else root_set(F, tol=tol)
     floats = [RealQuadraticFactor(-2.0 * p.x, p.x * p.x + p.y * p.y) for p in rs.pairs]
-    exact = _rationalize(F, floats)
+    exact = _rationalize(rs.form, floats)
     if exact is not None:
-        _debug(__name__, "recovered exact quadratic factors for %s", F)
+        _debug(__name__, "recovered exact quadratic factors for %s", rs.form)
         return exact
     return floats

@@ -62,6 +62,7 @@ from formred.paramspace import (
     zero_quadratic,
 )
 from formred.reduce import is_reduced, reduce_form, zero_point
+from formred.roots import root_set
 
 
 def _report(num, name, ok, elapsed, detail=""):
@@ -152,13 +153,13 @@ def test_criterion_06_equivariance_suites():
     rng = random.Random(ACCEPTANCE_SEED + 6)
     t0 = time.perf_counter()
     F = BinaryForm(SEXTIC_COEFFS)
-    base = {m: zero_point(F, method=m)[0].point for m in ("centroid", "julia")}
+    base = {m: zero_point(root_set(F), method=m)[0].point for m in ("centroid", "julia")}
     worst_form = 0.0
     for _ in range(50):
         M = random_unimodular(rng, bound=10)
         FM = transform(F, M)
         for method in ("centroid", "julia"):
-            zm = zero_point(FM, method=method)[0].point
+            zm = zero_point(root_set(FM), method=method)[0].point
             gap = dist_h2(zm, mobius_h2(base[method], M))
             worst_form = max(worst_form, gap)
     worst_param = 0.0

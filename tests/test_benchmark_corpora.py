@@ -190,7 +190,7 @@ def test_unpaired_roots_keep_their_message(caplog, seed, index):
     decisions, message = UNPAIRED[seed, index]
     F = formred.BinaryForm(corpora.generate("hard-scramble", seed, index + 1)[index])
     with pytest.raises(formred.UnpairedRoot) as failure:
-        formred.roots.certified_roots(F)
+        formred.roots.root_set(F)
     assert str(failure.value) == message
     logged = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
     assert len(logged) == len(decisions)

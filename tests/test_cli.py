@@ -1,4 +1,5 @@
 import decimal
+import io
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ import formred
 import formred.cli
 import formred.reduce
 import formred.roots
-from conftest import SEXTIC_COEFFS
+from conftest import SEXTIC_COEFFS, corpora
 from formred.cli import main, sqrt_display
 from formred.errors import UnpairedRoot
 from formred.hyperbolic import PointH2, in_fundamental_domain
@@ -36,6 +37,9 @@ ODD_ARG = ("5392716637468615,24739439890616177,51588149362809210,645448787335263
            "814370977773176,113212569561078,9443190754184,358031058112")
 # forms with a coefficient too large for a float: a classified failure
 OUT_OF_RANGE_ARGS = [f"{10**400},0,{10**400}", f"1,0,{10**320}"]
+# X^2 + 10^308 Z^2: its coefficients are floats, but its Aberth walk overflows
+SOLVE_OUT_OF_RANGE_ARG = f"1,0,{10**308}"
+SOLVE_OUT_OF_RANGE_MESSAGE = "root iterate (nan+nanj) leaves the float range"
 UNPAIRED_MESSAGE = "no conjugate partner for (9.4+0.2j) (closest at distance 1.805e-07)"
 # `formred reduce` stdout recorded byte for byte: the worked sextic, a form with
 # rational coefficients (centroid and both methods) and the first three forms
@@ -167,6 +171,19 @@ class TestReduceCommand:
         assert code == 0
         assert out.startswith("centroid: x = 0, y = 1")
 
+    @pytest.mark.parametrize("argv", [
+        ("batch", "--input", "-", "--precision", "3"),
+        ("geodata", "--coeffs", "1,0,1", "--precision", "3"),
+        ("geodata", "--coeffs", "1,0,1", "--format", "json"),
+        ("center", "--coeffs", "1,0,1", "--method", "centroid"),
+        ("julia", "--coeffs", "1,0,1", "--method", "julia"),
+    ], ids=["batch precision", "geodata precision", "geodata format", "center method",
+            "julia method"])
+    def test_options_a_command_never_reads_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "reduce", "--coeffs", "garbage!!")
         assert code == 1
@@ -189,6 +206,10 @@ class TestReduceCommand:
     def test_out_of_range_exit_code(self, capsys, form):
         code, out, err = run(capsys, "reduce", "--coeffs", form)
         assert (code, out, err) == (3, "", "error: form coefficients leave the float range\n")
+
+    def test_solve_out_of_range_exit_code(self, capsys):
+        code, out, err = run(capsys, "reduce", "--coeffs", SOLVE_OUT_OF_RANGE_ARG)
+        assert (code, out, err) == (3, "", f"error: {SOLVE_OUT_OF_RANGE_MESSAGE}\n")
 
     def test_repeated_factor_form_reduces(self, capsys):
         code, out, _ = run(capsys, "reduce", "--coeffs", REPEATED_ARG)
@@ -342,6 +363,17 @@ class TestBatch:
         assert records[1]["error"] == "form coefficients leave the float range"
         assert summary["records"] == 3 and summary["ok"] == 2 and summary["errors"] == 1
 
+    def test_solve_out_of_range_line_is_one_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            f"a,1,0,1\nb,{SOLVE_OUT_OF_RANGE_ARG}\nc,1,0,2\n"))
+        code, out, _ = run(capsys, "batch", "--input", "-")
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [
+            ("a", "ok"), ("b", "convergence_failure"), ("c", "ok")]
+        assert records[1]["error"] == SOLVE_OUT_OF_RANGE_MESSAGE
+        assert (summary["records"], summary["ok"], summary["errors"]) == (3, 2, 1)
+
     def test_height_increase_is_counted(self, capsys, tmp_path):
         # the centroid of X^4 - X^3 Z - X Z^3 + 2 Z^4 has x = 0.5119..., and the one
         # translation that moves it into the domain raises the height from 2 to 3
@@ -449,6 +481,16 @@ def test_ill_conditioned_quadratic_reduces_to_the_unit_form(capsys, coeffs):
     assert json.loads(out)["reduced"]["coefficients"] == ["1", "0", "1"]
 
 
+# 10^307 X^2 + Z^2: totally complex, with roots +-i 10^-153.5, but the root
+# certificates, scaled by 1 + |r|, pass one estimate of modulus 9e-152 taken
+# twice, and the realness threshold 1e-8 * (1 + |r|) calls it real (exit 2)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: roots of tiny modulus read as real")
+def test_tiny_roots_are_not_real(capsys):
+    code, out, _ = run(capsys, "reduce", "--coeffs", f"{10**307},0,1")
+    assert code == 0
+    assert json.loads(out)["reduced"]["coefficients"] == ["1", "0", str(10**307)]
+
+
 class TestGeodata:
     def test_structure(self, capsys):
         code, out, _ = run(capsys, "geodata", "--coeffs", SEXTIC_ARG)
@@ -474,6 +516,22 @@ class TestGeodata:
         assert len(payload["roots"]) == 8 and len(payload["pairs"]) == 4
         assert payload["zeros"]["centroid"]["exact_t"] == "443/47"
         assert payload["reduction"]["matrix"] == [[-19, -9], [-2, -1]]
+
+    # exact-centroid corpus forms (seed 1) whose reduced zero point is a tie:
+    # exactly i (#183), and on Re z = 1/2 (#458)
+    @pytest.mark.parametrize("index", [183, 458])
+    @pytest.mark.parametrize("method", ["both", "centroid"])
+    def test_path_ends_where_reduce_does(self, capsys, index, method):
+        coeffs = corpora.generate("exact-centroid", 1, index + 1)[index]
+        code, out, _ = run(capsys, "geodata", "--coeffs", ",".join(map(str, coeffs)),
+                           "--method", method)
+        assert code == 0
+        reduction = json.loads(out)["reduction"]
+        report = formred.reduce_form(formred.BinaryForm(coeffs))
+        M = report.matrix
+        assert reduction["matrix"] == [[M.a, M.b], [M.c, M.d]]
+        assert reduction["path"][-1] == [report.reduced_point.point.x,
+                                         report.reduced_point.point.y]
 
     @pytest.mark.parametrize("case", GEODATA_GOLDEN, ids=[c["name"] for c in GEODATA_GOLDEN])
     def test_output_bytes(self, capsys, case):

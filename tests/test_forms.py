@@ -310,8 +310,11 @@ RECORDS = [
     (PointH3, (1 + 1j, 2), "z t", "PointH3(z=(1+1j), t=2.0)", (complex(1, 1), 2.0), True),
     (HyperboloidPoint, (0, 0, 1), "x1 x2 x3", "HyperboloidPoint(x1=0.0, x2=0.0, x3=1.0)",
      (0.0, 0.0, 1.0), True),
-    (RootSet, ([_P],), "pairs residual", "RootSet(pairs=(PointH2(x=1.0, y=2.0),), residual=0.0)",
-     ((PointH2(1.0, 2.0),), 0.0), True),
+    # X^2 - 2XZ + 5Z^2, with roots 1 -+ 2i
+    (RootSet, (BinaryForm((1, -2, 5)), [1 - 2j, 1 + 2j], [_P], 0.0), "form roots pairs residual",
+     "RootSet(form=BinaryForm(coeffs=(1, -2, 5)), roots=((1-2j), (1+2j)), "
+     "pairs=(PointH2(x=1.0, y=2.0),), residual=0.0)",
+     (BinaryForm(("1", -2, Fraction(10, 2))), (1 - 2j, 1 + 2j), (PointH2(1.0, 2.0),), 0.0), True),
     (ZeroPoint, (_P,), "point t_exact u_sq_exact",
      "ZeroPoint(point=PointH2(x=1.0, y=2.0), t_exact=None, u_sq_exact=None)",
      (PointH2(1.0, 2.0), None, None), True),

@@ -417,6 +417,19 @@ class TestFundamentalDomainReduction:
         assert len(path) >= 2
         assert in_fundamental_domain(path[-1])
 
+    @pytest.mark.parametrize("t, u_sq", [
+        (SEXTIC_T, SEXTIC_U_SQ), (Fraction(-1, 2), Fraction(4)), (Fraction(-1, 2), Fraction(3, 4)),
+        (Fraction(0), Fraction(1, 4)), (Fraction(443, 47), Fraction(70, 2209))])
+    def test_exact_trace_records_path(self, t, u_sq):
+        def rounded(t, u_sq):
+            return PointH2(float(t), math.sqrt(float(u_sq)))
+
+        path = []
+        t_red, u_sq_red, M = reduce_point_exact(t, u_sq, trace=path)
+        assert (t_red, u_sq_red, M) == reduce_point_exact(t, u_sq)
+        assert path[0] == rounded(t, u_sq) and path[-1] == rounded(t_red, u_sq_red)
+        assert (len(path) == 1) == (M == UnimodularMatrix.identity())
+
     def test_invalid_point_rejected(self):
         with pytest.raises(ValueError):
             PointH2(0, 0)

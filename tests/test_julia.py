@@ -226,7 +226,7 @@ class TestJuliaZeroReal:
 
     def test_agrees_with_h3_on_sextic(self):
         rs = root_set(BinaryForm(SEXTIC_COEFFS))
-        real_res = julia_zero_real(rs)
+        real_res = julia_zero_real(rs.pairs)
         h3_res = julia_zero(SEXTIC_ROOTS)
         assert abs(real_res.point.x - h3_res.point.z.real) <= 1e-8
         assert abs(real_res.point.y - h3_res.point.t) <= 1e-8
@@ -275,7 +275,7 @@ class TestJuliaQuadratic:
     def test_sextic_zero_matches_minimizer(self):
         F = BinaryForm(SEXTIC_COEFFS)
         Q = julia_quadratic(F)
-        res = julia_zero_real(root_set(F))
+        res = julia_zero_real(root_set(F).pairs)
         z = zero_quadratic(Q)
         assert dist_h2(z, res.point) <= 1e-9
 
@@ -283,13 +283,13 @@ class TestJuliaQuadratic:
         rng = random.Random(76)
         F = BinaryForm(SEXTIC_COEFFS)
         rs = root_set(F)
-        res = julia_zero_real(rs)
+        res = julia_zero_real(rs.pairs)
         invariant = res.objective + 2 * math.log(abs(float(F.leading)))
         for _ in range(25):
             M = random_unimodular(rng)
             FM = transform(F, M)
             rsM = root_set(FM)
-            resM = julia_zero_real(rsM)
+            resM = julia_zero_real(rsM.pairs)
             moved = mobius_h2(res.point, M)
             assert dist_h2(resM.point, moved) <= 1e-7
             invariant_M = resM.objective + 2 * math.log(abs(float(FM.leading)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import formred.centroid
 from conftest import (
@@ -17,7 +18,7 @@ from conftest import (
     random_totally_complex_form,
     random_unimodular,
 )
-from formred.errors import FormParseError, RealRootDetected
+from formred.errors import FormParseError, FormReductionError, RealRootDetected
 from formred.forms import (
     BinaryForm,
     UnimodularMatrix,
@@ -35,6 +36,7 @@ from formred.reduce import (
     reduced_zero_matches,
     zero_point,
 )
+from formred.roots import root_set
 
 X2_PLUS_Z2 = BinaryForm((1, 0, 1))
 
@@ -205,7 +207,7 @@ class TestRepeatedFactors:
 
 class TestZeroPoint:
     def test_exact_flag(self, sextic):
-        zp, diag = zero_point(sextic, method="centroid")
+        zp, diag = zero_point(root_set(sextic), method="centroid")
         assert diag["exact"] is True
         assert abs(diag["system_residuals"][0]) <= 1e-10
         assert abs(diag["system_residuals"][1]) <= 1e-10
@@ -226,13 +228,13 @@ class TestZeroPoint:
 
         monkeypatch.setattr(formred.centroid, "center_from_quadratic_factors_exact", counting)
         monkeypatch.setattr(formred.centroid, "center_from_quadratic_factors", counting_float)
-        zp, diag = zero_point(BinaryForm(coeffs), method="centroid")
+        zp, diag = zero_point(root_set(BinaryForm(coeffs)), method="centroid")
         assert len(calls) == 1
         assert len(float_calls) == (0 if exact else 1)
         assert diag["exact"] is exact and (zp.t_exact is not None) is exact
 
     def test_julia_diag(self, sextic):
-        zp, diag = zero_point(sextic, method="julia")
+        zp, diag = zero_point(root_set(sextic), method="julia")
         assert diag["gradient_norm"] <= 1e-10
         assert diag["iterations"] >= 1
         assert 3.5 < zp.point.x < 4.5
@@ -260,3 +262,24 @@ def test_comparison_shares_one_transform_per_matrix():
             assert rep.height_after == normalized_height(rep.reduced)
         if max(rc.height_after, rj.height_after) > 256:
             assert (rj.height_after is rc.height_after) == report.same_matrix
+
+
+# coefficients m * 10^k and m / 10^k up to 7 * 10^320, and zero
+extreme_coefficients = st.one_of(
+    st.just(0),
+    st.builds(lambda m, k: m * 10**k, st.integers(-7, 7), st.integers(0, 320)),
+    st.builds(lambda m, k: Fraction(m, 10**k), st.integers(-7, 7), st.integers(1, 320)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 4, 6]).flatmap(
+    lambda n: st.lists(extreme_coefficients, min_size=n + 1, max_size=n + 1)))
+def test_extreme_coefficients_reduce_or_fail_classified(coeffs):
+    F = BinaryForm((coeffs[0] or 1, *coeffs[1:]))
+    try:
+        comparison = compare_methods(F)
+    except FormReductionError:
+        return
+    for report in (comparison.centroid_report, comparison.julia_report):
+        assert report.reduced == transform(F, report.matrix)

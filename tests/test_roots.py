@@ -34,14 +34,12 @@ from formred.roots import (
     _aberth,
     _dyadic,
     _exact_newton_polish,
-    _exact_value,
     _exact_value_and_slope,
     _IntegerPoly,
     _newton_polish,
     _rationalize,
     _root_magnitude_bound,
     _taylor_shift_scaled,
-    certified_roots,
     complex_roots,
     pair_conjugates,
     real_quadratic_factors,
@@ -93,9 +91,9 @@ class TestComplexRoots:
 
 class TestPairConjugates:
     def test_unit_pair(self):
-        rs = pair_conjugates([1j, -1j])
-        assert len(rs) == 1
-        p = rs.pairs[0]
+        pairs = pair_conjugates([1j, -1j])
+        assert len(pairs) == 1
+        p = pairs[0]
         assert (p.x, p.y) == (0.0, 1.0)
 
     def test_worked_sextic_pairs(self):
@@ -118,7 +116,7 @@ class TestPairConjugates:
         for _ in range(10):
             shuffled = roots[:]
             rng.shuffle(shuffled)
-            assert pair_conjugates(shuffled).pairs == reference.pairs
+            assert pair_conjugates(shuffled) == reference
 
     def test_unpaired_rejected(self):
         with pytest.raises(UnpairedRoot):
@@ -127,13 +125,13 @@ class TestPairConjugates:
 
 class TestRealQuadraticFactors:
     def test_worked_sextic_exact_recovery(self):
-        facs = real_quadratic_factors(BinaryForm(SEXTIC_COEFFS))
+        facs = real_quadratic_factors(root_set(BinaryForm(SEXTIC_COEFFS)))
         assert all(f.is_exact for f in facs)
         assert sorted((f.a, f.b) for f in facs) == sorted(
             (Fraction(a), Fraction(b)) for a, b in SEXTIC_FACTORS)
 
     def test_unit_quadratic(self):
-        facs = real_quadratic_factors(BinaryForm((1, 0, 1)))
+        facs = real_quadratic_factors(root_set(BinaryForm((1, 0, 1))))
         assert [(f.a, f.b) for f in facs] == [(0, 1)]
 
     def test_construct_then_recover(self):
@@ -141,7 +139,7 @@ class TestRealQuadraticFactors:
         for _ in range(20):
             factors = [random_integer_factor(rng) for _ in range(4)]
             F = from_quadratic_factors(factors)
-            recovered = real_quadratic_factors(F)
+            recovered = real_quadratic_factors(root_set(F))
             # multiset match within 1e-8
             pool = sorted((float(f.a), float(f.b)) for f in factors)
             got = sorted((float(f.a), float(f.b)) for f in recovered)
@@ -154,7 +152,7 @@ class TestRealQuadraticFactors:
         for _ in range(10):
             factors = [random_integer_factor(rng) for _ in range(3)]
             F = from_quadratic_factors(factors)
-            recovered = real_quadratic_factors(F)
+            recovered = real_quadratic_factors(root_set(F))
             product = expand_quadratic_factors(recovered)
             for p, c in zip(product, F.coeffs):
                 assert abs(float(p) - float(c)) <= 1e-8 * (1 + abs(float(c)))
@@ -163,7 +161,7 @@ class TestRealQuadraticFactors:
         # leading coefficient 3: factors stay monic, product times a0 gives F back
         F = from_quadratic_factors([RealQuadraticFactor(0, 1), RealQuadraticFactor(-4, 13)],
                                    leading=3)
-        facs = real_quadratic_factors(F)
+        facs = real_quadratic_factors(root_set(F))
         assert all(f.is_exact for f in facs)
         assert sorted((f.a, f.b) for f in facs) == [(Fraction(-4), Fraction(13)),
                                                     (Fraction(0), Fraction(1))]
@@ -179,7 +177,7 @@ class TestRealQuadraticFactors:
         assert transform(BinaryForm(base), UnimodularMatrix(3, 5, 1, 2)).coeffs == scrambled
         for coeffs in (base, scrambled):
             F = BinaryForm(coeffs)
-            facs = real_quadratic_factors(F)
+            facs = real_quadratic_factors(root_set(F))
             assert len(facs) == 2
             assert all(type(f.a) is float and type(f.b) is float for f in facs)
             report = formred.reduce_form(F, method="centroid")
@@ -242,7 +240,7 @@ class TestExactEvaluation:
     def test_integer_horner_matches_fraction_horner(self, F, re, im):
         poly = _IntegerPoly.of_form(F)
         x = complex(re, im)
-        got = _exact_value(poly, _dyadic(x))
+        got, _ = _exact_value_and_slope(poly, _dyadic(x))
         want = complex(*fraction_horner(F.coeffs, Fraction(re), Fraction(im)))
         assert bits(got) == bits(want)
 
@@ -257,9 +255,8 @@ class TestExactEvaluation:
     @settings(max_examples=300, deadline=None)
     @given(forms, parts, parts)
     def test_one_pass_matches_two_evaluations(self, F, re, im):
-        poly, at = _IntegerPoly.of_form(F), _dyadic(complex(re, im))
-        p, dp = _exact_value_and_slope(poly, at)
-        assert exact_bits([p]) == exact_bits([_exact_value(poly, at)])
+        p, dp = _exact_value_and_slope(_IntegerPoly.of_form(F), _dyadic(complex(re, im)))
+        assert bits(p) == bits(complex(*fraction_horner(F.coeffs, Fraction(re), Fraction(im))))
         want = complex(*fraction_horner(derivative(F), Fraction(re), Fraction(im)))
         assert bits(dp) == bits(want)
 
@@ -523,12 +520,29 @@ class TestAberthRepeat:
         assert aberth_records(caplog) == []
 
 
+# even-degree forms whose solve leaves the float range: at a NaN iterate
+# (twice), in the exact power sums, in an exact Newton step, and in the
+# residual certificate's (1 + |r|)^n
+FLOAT_RANGE_FORMS = [
+    (1, 0, 10**308),
+    (Fraction(-3, 10**50), 10**307, 3 * 10**150),
+    (Fraction(-1, 10**299), 30, 0),
+    (10**300, Fraction(3, 10**320), Fraction(1, 10**49)),
+    (Fraction(-3, 10**300), Fraction(-7, 10**320), -7, Fraction(-1, 10**50), 30),
+]
+
+
 class TestFloatRange:
     @pytest.mark.parametrize("coeffs", [(10**400, 0, 10**400), (1, 0, 10**320),
                                         (10**400, 0, 2 * 10**400, 0, 10**400)])
     def test_out_of_range_coefficients_fail_classified(self, coeffs):
         with pytest.raises(ConvergenceFailure, match="leave the float range"):
             formred.reduce_form(BinaryForm(coeffs))
+
+    @pytest.mark.parametrize("coeffs", FLOAT_RANGE_FORMS)
+    def test_solve_out_of_float_range_is_a_convergence_failure(self, coeffs):
+        with pytest.raises(ConvergenceFailure, match="leaves the float range$"):
+            root_set(BinaryForm(coeffs))
 
 
 def reference_rationalize(F, factors, max_denominator=10**6):
@@ -732,22 +746,24 @@ class TestIntegerYun:
 class TestCertifiedRoots:
     def test_direct_solve_when_it_certifies(self):
         F = BinaryForm(SEXTIC_COEFFS)
-        roots, rs = certified_roots(F)
-        assert roots == complex_roots(F)
-        assert rs == pair_conjugates(roots, form=F) == root_set(F)
+        rs = root_set(F)
+        assert rs.form is F
+        assert rs.roots == tuple(complex_roots(F))
+        assert rs.pairs == pair_conjugates(rs.roots)
+        assert rs == root_set(F)
 
     def test_fourth_power_is_rescued(self):
         F = BinaryForm((1, 0, 4, 0, 6, 0, 4, 0, 1))  # (X^2 + Z^2)^4
-        roots, rs = certified_roots(F)
-        assert roots == complex_roots(F) == [-1j] * 4 + [1j] * 4
+        rs = root_set(F)
+        assert rs.roots == tuple(complex_roots(F)) == (-1j,) * 4 + (1j,) * 4
         assert rs.pairs == (PointH2(0, 1),) * 4
         assert rs.residual == 0.0
 
     def test_pairs_repeat_with_multiplicity(self):
         F = from_quadratic_factors([RealQuadraticFactor(0, 1)] * 3 + [RealQuadraticFactor(1, 1)])
-        roots, rs = certified_roots(F)
-        assert len(roots) == 8 and len(rs) == 4
-        assert_same_multiset(roots, [1j, -1j] * 3 + [complex(-0.5, s * 3**0.5 / 2)
+        rs = root_set(F)
+        assert len(rs.roots) == 8 and len(rs.pairs) == 4
+        assert_same_multiset(rs.roots, [1j, -1j] * 3 + [complex(-0.5, s * 3**0.5 / 2)
                                                    for s in (1, -1)])
         assert rs.pairs[1:] == (PointH2(0, 1),) * 3
         assert abs(rs.pairs[0].as_complex() - complex(-0.5, 3**0.5 / 2)) <= 1e-15
@@ -760,7 +776,7 @@ class TestCertifiedRoots:
         monkeypatch.setattr(formred.roots, "complex_roots", failing)
         with pytest.raises(RealRootDetected,
                            match="^odd-degree real forms always have a real root$"):
-            certified_roots(BinaryForm(coeffs))
+            root_set(BinaryForm(coeffs))
 
     def test_square_free_failure_is_reraised(self, monkeypatch):
         def failing(F, tol=1e-10):
@@ -768,7 +784,7 @@ class TestCertifiedRoots:
 
         monkeypatch.setattr(formred.roots, "complex_roots", failing)
         with pytest.raises(ConvergenceFailure, match="^direct solve failed$"):
-            certified_roots(BinaryForm(SEXTIC_COEFFS))
+            root_set(BinaryForm(SEXTIC_COEFFS))
 
     def test_linear_part_is_a_real_root(self, monkeypatch):
         F = BinaryForm((1, -2, 2, -2, 1))  # (X - Z)^2 (X^2 + Z^2)
@@ -781,7 +797,7 @@ class TestCertifiedRoots:
 
         monkeypatch.setattr(formred.roots, "_certify", failing_on_f)
         with pytest.raises(RealRootDetected, match="multiplicity 2"):
-            certified_roots(F)
+            root_set(F)
 
 
 # exact-centroid corpus form (perfbench, seed 1, #29): a quadratic times a
@@ -825,9 +841,10 @@ class TestClusterPolicy:
         assert [r.getMessage() for r in caplog.records if "split" in r.getMessage()] == [
             f"split at a repeated-factor cluster of {F} into multiplicities [1, 2]"]
         assert len(roots) == 8
-        rs = pair_conjugates(roots, form=F)
-        assert sorted(rs.pairs.count(p) for p in rs.pairs) == [1, 1, 2, 2]
-        assert certified_roots(F) == (roots, rs)
+        pairs = pair_conjugates(roots)
+        assert sorted(pairs.count(p) for p in pairs) == [1, 1, 2, 2]
+        rs = root_set(F)
+        assert (rs.roots, rs.pairs) == (tuple(roots), pairs)
 
     def test_square_free_cluster_still_zooms(self, solver_calls):
         F = BinaryForm(SQUARE_FREE_CLUSTER)
@@ -838,10 +855,10 @@ class TestClusterPolicy:
     def test_failed_split_falls_back_to_the_zoom(self, monkeypatch, solver_calls):
         monkeypatch.setattr(formred.roots, "_split", failing_split)
         F = BinaryForm(REPEATED_CLUSTER)
-        roots, rs = certified_roots(F)
+        rs = root_set(F)
         assert solver_calls["complex_roots"] == 1 and solver_calls["_zoom_solve"] > 0
-        assert roots == complex_roots(F)
-        assert rs == pair_conjugates(roots, form=F)
+        assert rs.roots == tuple(complex_roots(F))
+        assert rs.pairs == pair_conjugates(rs.roots)
 
     def test_failed_split_zooms_from_the_first_solve(self, monkeypatch):
         # the zoom fallback starts from the estimates the split was tried on:
@@ -855,7 +872,7 @@ class TestClusterPolicy:
         monkeypatch.setattr(formred.roots, "_aberth", recording)
         monkeypatch.setattr(formred.roots, "_split", failing_split)
         F = BinaryForm(REPEATED_CLUSTER)
-        certified_roots(F)
+        root_set(F)
         assert walks.count([float(c) for c in F.coeffs]) == 1
 
     def test_failed_split_and_zoom_raise_the_split_error(self, monkeypatch):
@@ -865,11 +882,11 @@ class TestClusterPolicy:
         monkeypatch.setattr(formred.roots, "_split", failing_split)
         monkeypatch.setattr(formred.roots, "_certify", failing_certificate)
         with pytest.raises(ConvergenceFailure, match="^split failed$"):
-            certified_roots(BinaryForm(REPEATED_CLUSTER))
+            root_set(BinaryForm(REPEATED_CLUSTER))
 
     def test_one_debug_record_per_decision(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="formred.roots")
-        certified_roots(BinaryForm(REPEATED_CLUSTER))
+        root_set(BinaryForm(REPEATED_CLUSTER))
         decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
         assert len(decisions) == 1
         assert decisions[0].startswith("split at a repeated-factor cluster of ")
@@ -877,7 +894,7 @@ class TestClusterPolicy:
 
         caplog.clear()
         monkeypatch.setattr(formred.roots, "_split", failing_split)
-        certified_roots(BinaryForm(REPEATED_CLUSTER))
+        root_set(BinaryForm(REPEATED_CLUSTER))
         decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
         assert len(decisions) == 2
         assert decisions[0].startswith("split at a repeated-factor cluster of ")

@@ -26,6 +26,7 @@ import pytest
 import formred
 from conftest import SEXTIC_FACTORS, SEXTIC_T, SEXTIC_U_SQ, corpora
 from formred.reduce import zero_point
+from formred.roots import root_set
 
 SEEDS = (1, 2, 3)
 COUNT = 100
@@ -105,7 +106,7 @@ def test_truth_of_the_worked_sextic():
     F = formred.transform(formred.from_quadratic_factors(
         [formred.RealQuadraticFactor(a, b) for a, b in SEXTIC_FACTORS]),
         formred.UnimodularMatrix(2, 1, 1, 1))
-    zp, _ = zero_point(F)
+    zp, _ = zero_point(root_set(F))
     assert (zp.t_exact, zp.u_sq_exact) == exact_truth(SEXTIC_FACTORS, (2, 1, 1, 1))
 
 
@@ -114,7 +115,7 @@ def exact_mismatches(seed, count):
     bad = []
     for i, (coeffs, factors, matrix) in enumerate(
             generate_with_truth_data("exact-centroid", seed, count)):
-        zp, _ = zero_point(formred.BinaryForm(coeffs))
+        zp, _ = zero_point(root_set(formred.BinaryForm(coeffs)))
         if (zp.t_exact, zp.u_sq_exact) != exact_truth(factors, matrix):
             bad.append(i)
     return bad
@@ -124,7 +125,7 @@ def float_errors(seed, count):
     """|z - z*| / Im z* for every form of the accept-both corpus."""
     errors = []
     for coeffs, factors, matrix in generate_with_truth_data("accept-both", seed, count):
-        pt = zero_point(formred.BinaryForm(coeffs))[0].point
+        pt = zero_point(root_set(formred.BinaryForm(coeffs)))[0].point
         t, u = decimal_truth(factors, matrix)
         with localcontext() as ctx:
             ctx.prec = 60
