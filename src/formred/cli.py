@@ -109,7 +109,7 @@ def _point_text(zp, digits):
 def cmd_reduce(args):
     F = parse(args.coeffs)
     if args.method == "both":
-        comparison = compare_methods(F, tol=args.tol)
+        comparison = compare_methods(F)
         if args.format == "text":
             for rep in (comparison.centroid_report, comparison.julia_report):
                 _print_report_text(rep, args.precision)
@@ -118,7 +118,7 @@ def cmd_reduce(args):
         else:
             _emit(comparison.to_dict())
         return 0
-    report = reduce_form(F, method=args.method, tol=args.tol)
+    report = reduce_form(F, method=args.method)
     if args.format == "text":
         _print_report_text(report, args.precision)
     else:
@@ -143,15 +143,15 @@ def _methods(method):
     return METHODS if method == "both" else (method,)
 
 
-def _zero_points(coeffs, methods, tol):
+def _zero_points(coeffs, methods):
     """(RootSet, {method: (zero point, diagnostics)}) of the form `coeffs`
     under each of `methods`, all from one root solve."""
-    rs = root_set(parse(coeffs), tol=tol)
-    return rs, {m: zero_point(rs, method=m, tol=tol) for m in methods}
+    rs = root_set(parse(coeffs))
+    return rs, {m: zero_point(rs, method=m) for m in methods}
 
 
 def cmd_zero(args):
-    _, results = _zero_points(args.coeffs, _methods(args.method), args.tol)
+    _, results = _zero_points(args.coeffs, _methods(args.method))
     gap = (dist_h2(results["centroid"][0].point, results["julia"][0].point)
            if len(results) == 2 else None)
     if args.format != "text":
@@ -177,7 +177,7 @@ def cmd_zero(args):
 
 def cmd_zero_map(args):
     """`center` and `julia`: one zero map and whether it lies in the fundamental domain."""
-    [(method, (zp, diag))] = _zero_points(args.coeffs, (args.method,), args.tol)[1].items()
+    [(method, (zp, diag))] = _zero_points(args.coeffs, (args.method,))[1].items()
     inside = in_fundamental_domain(zp.point)
     if args.format != "text":
         _emit({"schema_version": SCHEMA_VERSION, args.command: zp.to_dict(),
@@ -193,16 +193,16 @@ def cmd_zero_map(args):
     return 0
 
 
-def _batch_record(ident, line_coeffs, method, tol):
+def _batch_record(ident, line_coeffs, method):
     """One batch line as `reduce --method <method>` computes it, cut to the
     fields a batch record keeps."""
     record = {"schema_version": SCHEMA_VERSION, "id": ident}
     try:
         F = parse(line_coeffs)
         if method == "both":
-            payload = compare_methods(F, tol=tol).to_dict()
+            payload = compare_methods(F).to_dict()
         else:
-            payload = {method: reduce_form(F, method=method, tol=tol).to_dict()}
+            payload = {method: reduce_form(F, method=method).to_dict()}
     except FormReductionError as exc:
         record.update(status=_classify(exc)[0], error=str(exc))
         return record
@@ -272,7 +272,7 @@ def cmd_batch(args):
             ident, _, rest = line.partition(",")
             ident = ident or str(lineno)
             if rest:
-                record = _batch_record(ident, rest, args.method, args.tol)
+                record = _batch_record(ident, rest, args.method)
             else:
                 record = {"schema_version": SCHEMA_VERSION, "id": ident,
                           "status": "parse_error", "error": "missing coefficients"}
@@ -311,7 +311,7 @@ def _count(counts, record, primary_method):
 def cmd_geodata(args):
     """Both zero maps of one root solve, the roots, and the reduction path of
     the requested zero map (the centroid's for `both`)."""
-    rs, zeros = _zero_points(args.coeffs, METHODS, args.tol)
+    rs, zeros = _zero_points(args.coeffs, METHODS)
     method = "centroid" if args.method == "both" else args.method
     path = []
     _, matrix = reduce_zero_point(zeros[method][0], trace=path)
@@ -343,20 +343,17 @@ def build_parser():
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def positive(convert):
-        """The argparse type convert, with values that are not finite and
-        positive a usage error, and ints (digit counts) above decimal.MAX_PREC."""
-        def parse(text):
-            value = convert(text)
-            if not 0 < value < math.inf:
-                raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
-            if convert is int and value > MAX_PREC:
-                raise argparse.ArgumentTypeError(f"must be at most {MAX_PREC}: {text!r}")
-            return value
+    def precision(text):
+        """A --precision value: an int from 1 to decimal.MAX_PREC, else a usage error."""
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+        if value > MAX_PREC:
+            raise argparse.ArgumentTypeError(f"must be at most {MAX_PREC}: {text!r}")
+        return value
 
-        # argparse names the type in its "invalid <type> value" message
-        parse.__name__ = convert.__name__
-        return parse
+    # argparse names the type in its "invalid <type> value" message
+    precision.__name__ = "int"
 
     parser = _Parser(prog="formred",
                      description="Reduce totally complex real binary forms "
@@ -364,14 +361,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, method=None, formats=(), fmt=None):
-        """--tol, and --method, --format and --precision where a command reads them."""
+        """--method, --format and --precision where a command reads them."""
         if method is not None:
             p.add_argument("--method", choices=("centroid", "julia", "both"), default=method)
         if formats:
             p.add_argument("--format", choices=formats, default=fmt)
-        p.add_argument("--tol", type=positive(float), default=1e-10)
         if "text" in formats:
-            p.add_argument("--precision", type=positive(int), default=12,
+            p.add_argument("--precision", type=precision, default=12,
                            help="significant digits in text output")
 
     p = sub.add_parser("reduce", help="reduce a single form")

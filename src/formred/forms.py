@@ -32,7 +32,7 @@ def _exact(value, what="coefficient"):
         raise TypeError(f"{what} must be exact (int, Fraction or 'p/q' string), got float")
     try:
         f = Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormParseError(f"cannot read {what} from {value!r}") from exc
     return int(f.numerator) if f.denominator == 1 else f
 
@@ -322,7 +322,7 @@ def _parse_polynomial(text):
         coef = m.group("coef")
         if coef is None and not has_x and not has_z:
             raise FormParseError(f"cannot parse term {tok!r}")
-        c = Fraction(coef) if coef is not None else Fraction(1)
+        c = _exact(coef) if coef is not None else 1
         if sign == "-":
             c = -c
         xp = int(m.group("xp")) if m.group("xp") else (1 if has_x else 0)

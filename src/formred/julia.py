@@ -209,7 +209,11 @@ def _minimize(value_grad_hess, p0, tol):
             s = 1.0
             while s > 1e-12:
                 cand = tuple(pi + s * di for pi, di in zip(p, step))
-                cval = value_grad_hess(cand)[0]
+                try:
+                    cval = value_grad_hess(cand)[0]
+                except ArithmeticError:
+                    # a trial point that leaves the float range fails the test
+                    cval = math.inf
                 if cval <= val + 1e-4 * s * slope:
                     break
                 s *= 0.5
@@ -297,18 +301,24 @@ def julia_zero(roots, tol=DEFAULT_TOL, start=None):
     return JuliaResult(point, val, riem, it)
 
 
-def julia_zero_real(pairs, tol=DEFAULT_TOL):
+def julia_zero_real(pairs):
     """Minimizer of F~ restricted to the real cross-section.
 
     `pairs` is a sequence of upper half-plane points, one per conjugate pair
     (a RootSet's pairs); the objective counts each pair twice, so the value
-    matches distance_sum over the full root list.
+    matches distance_sum over the full root list.  The minimizer is certified
+    to gradient norm DEFAULT_TOL; a minimization that leaves the float range
+    raises ConvergenceFailure.
     """
     pts = tuple(pairs)
     if not pts:
         raise ValueError("need at least one conjugate pair")
-    start = center_of_mass_h2(pts)
-    p, val, riem, it = _minimize(_real_problem(pts), (start.x, math.log(start.y)), tol)
+    try:
+        start = center_of_mass_h2(pts)
+        p, val, riem, it = _minimize(_real_problem(pts), (start.x, math.log(start.y)),
+                                     DEFAULT_TOL)
+    except ArithmeticError:
+        raise ConvergenceFailure("Julia minimization leaves the float range") from None
     point = PointH2(p[0], math.exp(p[1]))
     _debug(__name__, "julia_zero_real: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)

@@ -145,16 +145,16 @@ def _check_method(method):
         raise FormParseError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def julia_zero_real(pairs, tol):
+def julia_zero_real(pairs):
     """formred.julia.julia_zero_real, with formred.julia imported by the first
     call: a centroid reduction never loads it.  A module-level name, so that
     callers and perfbench's spans can wrap the Julia step of zero_point."""
     from .julia import julia_zero_real
 
-    return julia_zero_real(pairs, tol=tol)
+    return julia_zero_real(pairs)
 
 
-def zero_point(rs, method="centroid", tol=1e-10):
+def zero_point(rs, method="centroid"):
     """Zero-map value under `method` of the form the RootSet rs solves, with diagnostics."""
     _check_method(method)
     if method == "centroid":
@@ -170,28 +170,28 @@ def zero_point(rs, method="centroid", tol=1e-10):
         diag = {"root_residual": rs.residual, "exact": exact is not None,
                 "system_residuals": [r1, r2]}
         return zp, diag
-    result = julia_zero_real(rs.pairs, tol=tol)
+    result = julia_zero_real(rs.pairs)
     diag = {"root_residual": rs.residual, "exact": False,
             "gradient_norm": result.gradient_norm, "iterations": result.iterations,
             "objective": result.objective}
     return ZeroPoint(result.point), diag
 
 
-def reduce_form(F, method="centroid", tol=1e-10):
+def reduce_form(F, method="centroid"):
     """Reduce F: move its zero-map value into the fundamental domain.
 
     Works for real forms of even degree without real roots; raises
     RealRootDetected otherwise.
     """
-    return _reduce(F, method, tol)
+    return _reduce(F, method)
 
 
-def _reduce(F, method, tol, prior=None):
+def _reduce(F, method, prior=None):
     """reduce_form; `prior`, an earlier report on F, lends its matrix, reduced
     form and heights when its matrix is the same, so one exact transform serves
     both and the two reports hold one copy of each."""
     _check_method(method)
-    zp, diag = zero_point(root_set(F, tol=tol), method=method, tol=tol)
+    zp, diag = zero_point(root_set(F), method=method)
     red_pt, M = reduce_zero_point(zp)
     if prior is not None and prior.matrix == M:
         M, reduced, height_after = prior.matrix, prior.reduced, prior.height_after
@@ -227,10 +227,10 @@ def is_reduced(F, method="centroid"):
     return in_fundamental_domain(zp.point)
 
 
-def compare_methods(F, tol=1e-10):
+def compare_methods(F):
     """Run both reductions and measure how far apart the two zero maps land."""
-    rc = _reduce(F, "centroid", tol)
-    rj = _reduce(F, "julia", tol, prior=rc)
+    rc = _reduce(F, "centroid")
+    rj = _reduce(F, "julia", prior=rc)
     gap = dist_h2(rc.zero_point.point, rj.zero_point.point)
     return ComparisonReport(
         centroid_report=rc,

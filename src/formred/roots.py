@@ -40,6 +40,8 @@ from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum,
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
+# the exact-residual certificate: |F(r, 1)| / (height * (1 + |r|)^n) <= _RESIDUAL_TOL
+_RESIDUAL_TOL = 1e-10
 # roots r and s pair as conjugates when |r - conj(s)| <= _PAIR_TOL * (1 + |r|)
 _PAIR_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-7
@@ -398,12 +400,12 @@ def _zoom_solve(poly, cluster):
     return _refine(poly, back)
 
 
-def complex_roots(F, tol=1e-10):
+def complex_roots(F):
     """All n roots of F(X, 1), multiplicities included, deterministically ordered.
 
-    Residual contract: |F(r, 1)| / (height * (1 + |r|)^n) <= tol for every root,
-    with the polynomial value computed in exact arithmetic; the first two power
-    sums must also match their exact coefficient values.
+    Residual contract: |F(r, 1)| / (height * (1 + |r|)^n) <= _RESIDUAL_TOL for
+    every root, with the polynomial value computed in exact arithmetic; the
+    first two power sums must also match their exact coefficient values.
 
     One ladder, top to bottom.  A form with a coefficient too large for a float
     fails at once, and a solve fails where its float arithmetic overflows or
@@ -424,12 +426,12 @@ def complex_roots(F, tol=1e-10):
     re-raises.  A linear part is a real root.
     """
     try:
-        return _solve(F, tol)
+        return _solve(F)
     except ArithmeticError:
         raise ConvergenceFailure("root solve leaves the float range") from None
 
 
-def _solve(F, tol):
+def _solve(F):
     """complex_roots' ladder; square-free parts are solved here directly, so
     that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
@@ -450,7 +452,7 @@ def _solve(F, tol):
             _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
                    F, [i for _, i in parts])
             try:
-                return _split(F, parts, tol)
+                return _split(F, parts)
             except (ConvergenceFailure, UnpairedRoot) as exc:
                 _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
                 split_error = exc
@@ -464,7 +466,7 @@ def _solve(F, tol):
         if new_quality < quality:
             xs, quality = zoomed, new_quality
     try:
-        _certify(F, poly, xs, tol)
+        _certify(F, poly, xs)
         xs.sort(key=lambda r: (r.real, r.imag))
         if split_error is not None:
             pair_conjugates(xs)
@@ -478,10 +480,10 @@ def _solve(F, tol):
     else:
         return xs
     _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
-    return _split(F, parts, tol)
+    return _split(F, parts)
 
 
-def _certify(F, poly, roots, tol):
+def _certify(F, poly, roots):
     """Raise ConvergenceFailure unless the roots pass the power-sum and the
     exact-residual certificates of F (poly: F as an _IntegerPoly).  The
     residual of a root r is |p(r)| / (height * (1 + |r|)^n), with the
@@ -492,8 +494,9 @@ def _certify(F, poly, roots, tol):
     h, n = max(abs(c) for c in poly.ints) / poly.den, len(poly.ints) - 1
     for r in roots:
         rel = abs(_exact_value_and_slope(poly, _dyadic(r))[0]) / (h * (1.0 + abs(r)) ** n)
-        if not rel <= tol:
-            raise ConvergenceFailure(f"root residual {rel:.3e} exceeds tolerance {tol:.1e}")
+        if not rel <= _RESIDUAL_TOL:
+            raise ConvergenceFailure(
+                f"root residual {rel:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}")
 
 
 def pair_conjugates(roots):
@@ -617,7 +620,7 @@ def _square_free(parts):
     return len(parts) == 1 and parts[0][1] == 1
 
 
-def _split(F, parts, tol):
+def _split(F, parts):
     """The roots of F from its square-free parts [(P, i), ...]: each part solved
     and paired alone, its roots repeated i times, then the certificates checked
     on F itself."""
@@ -625,23 +628,26 @@ def _split(F, parts, tol):
     for P, i in parts:
         if len(P) == 2:
             raise RealRootDetected(f"rational root {-P[1]} of multiplicity {i}")
-        part_roots = _solve(BinaryForm(tuple(P)), tol)
+        part_roots = _solve(BinaryForm(tuple(P)))
         # a part whose roots do not pair fails the split; root_set pairs
         # the whole form again, since complex_roots returns roots only
         pair_conjugates(part_roots)
         roots += part_roots * i
-    _certify(F, _IntegerPoly.of_form(F), roots, tol)
+    _certify(F, _IntegerPoly.of_form(F), roots)
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
 
 
-def root_set(F, tol=1e-10):
+def root_set(F):
     """F solved once, as a RootSet (see complex_roots for how a root cluster is
     resolved; pair_conjugates raises on a real root).  An odd-degree form fails
-    before any solve: a real form of odd degree always has a real root."""
+    before any solve: a real form of odd degree always has a real root; so does
+    a form whose last coefficient is zero, which X divides."""
     if F.degree % 2:
         raise RealRootDetected("odd-degree real forms always have a real root")
-    roots = complex_roots(F, tol=tol)
+    if F.coeffs[-1] == 0:
+        raise RealRootDetected("rational root 0: the last coefficient is zero")
+    roots = complex_roots(F)
     return RootSet(F, roots, pair_conjugates(roots), _float_residual(F, roots))
 
 

@@ -1,8 +1,10 @@
+import argparse
 import decimal
 import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,12 @@ OUT_OF_RANGE_ARGS = [f"{10**400},0,{10**400}", f"1,0,{10**320}"]
 # X^2 + 10^308 Z^2: its coefficients are floats, but its Aberth walk overflows
 SOLVE_OUT_OF_RANGE_ARG = f"1,0,{10**308}"
 SOLVE_OUT_OF_RANGE_MESSAGE = "root iterate (nan+nanj) leaves the float range"
+# X (-10^-299 X + 30 Z): X divides it, so it has the real root 0, though its
+# root solve would overflow
+ZERO_LAST_ARG = f"-1/{10**299},30,0"
+ZERO_LAST_MESSAGE = "rational root 0: the last coefficient is zero"
+# X^6 + 10^5 X^2 Z^4 + Z^6/10: a Julia line-search trial point overflows exp
+JULIA_OVERFLOW_ARG = "1,0,0,0,100000,0,1/10"
 UNPAIRED_MESSAGE = "no conjugate partner for (9.4+0.2j) (closest at distance 1.805e-07)"
 # `formred reduce` stdout recorded byte for byte: the worked sextic, a form with
 # rational coefficients (centroid and both methods) and the first three forms
@@ -87,10 +95,10 @@ def unpaired_root_set(monkeypatch):
     """Make root_set raise UnpairedRoot for the forms added to the returned set."""
     unpaired, root_set = set(), formred.reduce.root_set
 
-    def fake(F, tol=1e-10):
+    def fake(F):
         if F in unpaired:
             raise UnpairedRoot(UNPAIRED_MESSAGE)
-        return root_set(F, tol=tol)
+        return root_set(F)
 
     monkeypatch.setattr(formred.reduce, "root_set", fake)
     return unpaired
@@ -141,6 +149,12 @@ class TestReduceCommand:
         assert err.endswith(f"error: argument --precision: must be finite and positive: "
                             f"{argv[-1]!r}\n")
 
+    @pytest.mark.parametrize("precision", ["abc", "1.5"])
+    def test_precision_not_an_int_is_a_usage_error(self, capsys, precision):
+        code, out, err = run(capsys, "zero", "--coeffs", "1,0,1", "--precision", precision)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --precision: invalid int value: {precision!r}\n")
+
     @pytest.mark.parametrize("command", ["reduce", "zero"])
     @pytest.mark.parametrize("precision", [str(decimal.MAX_PREC + 1), "1" + "0" * 19,
                                            "1" + "0" * 400], ids=["MAX_PREC+1", "1e19", "1e400"])
@@ -157,17 +171,9 @@ class TestReduceCommand:
                            "--precision", str(decimal.MAX_PREC))
         assert (code, out) == (0, "centroid: x = 0, y = 1, t = 0\n")
 
-    @pytest.mark.parametrize("command", ["reduce", "zero", "batch"])
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "1e400"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, command, tol):
-        source = ("--input", "-") if command == "batch" else ("--coeffs", "1,0,1")
-        code, out, err = run(capsys, command, *source, f"--tol={tol}")
-        assert (code, out) == (1, "")
-        assert err.endswith(f"error: argument --tol: must be finite and positive: '{tol}'\n")
-
     def test_small_tolerance_and_precision_are_kept(self, capsys):
         code, out, _ = run(capsys, "zero", "--coeffs", "1,0,1", "--method", "centroid",
-                           "--tol", "1e-12", "--precision", "1")
+                           "--precision", "1")
         assert code == 0
         assert out.startswith("centroid: x = 0, y = 1")
 
@@ -177,8 +183,16 @@ class TestReduceCommand:
         ("geodata", "--coeffs", "1,0,1", "--format", "json"),
         ("center", "--coeffs", "1,0,1", "--method", "centroid"),
         ("julia", "--coeffs", "1,0,1", "--method", "julia"),
+        # the certificate thresholds are constants: no command takes --tol
+        ("reduce", "--coeffs", "1,0,1", "--tol", "1e-3"),
+        ("zero", "--coeffs", "1,0,1", "--tol", "1e-3"),
+        ("center", "--coeffs", "1,0,1", "--tol", "1e-3"),
+        ("julia", "--coeffs", "1,0,1", "--tol", "1e-3"),
+        ("batch", "--input", "-", "--tol", "1e-3"),
+        ("geodata", "--coeffs", "1,0,1", "--tol", "1e-3"),
     ], ids=["batch precision", "geodata precision", "geodata format", "center method",
-            "julia method"])
+            "julia method", "reduce tol", "zero tol", "center tol", "julia tol", "batch tol",
+            "geodata tol"])
     def test_options_a_command_never_reads_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
@@ -210,6 +224,22 @@ class TestReduceCommand:
     def test_solve_out_of_range_exit_code(self, capsys):
         code, out, err = run(capsys, "reduce", "--coeffs", SOLVE_OUT_OF_RANGE_ARG)
         assert (code, out, err) == (3, "", f"error: {SOLVE_OUT_OF_RANGE_MESSAGE}\n")
+
+    @pytest.mark.parametrize("form", ["1,0,1/0", "x^2+1/0"])
+    def test_zero_denominator_is_a_parse_error(self, capsys, form):
+        code, out, err = run(capsys, "reduce", "--coeffs", form)
+        assert (code, out, err) == (1, "", "error: cannot read coefficient from '1/0'\n")
+
+    @pytest.mark.parametrize("form", [ZERO_LAST_ARG, "1,0,0", "1,0,1,0,0"])
+    def test_zero_last_coefficient_is_a_real_root(self, capsys, complex_roots_calls, form):
+        code, out, err = run(capsys, "reduce", "--coeffs", form)
+        assert (code, out, err) == (2, "", f"error: {ZERO_LAST_MESSAGE}\n")
+        assert complex_roots_calls == []
+
+    def test_julia_line_search_past_the_float_range_reduces(self, capsys):
+        code, out, err = run(capsys, "reduce", "--coeffs", JULIA_OVERFLOW_ARG, "--method", "julia")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"]["gradient_norm"] <= 1e-10
 
     def test_repeated_factor_form_reduces(self, capsys):
         code, out, _ = run(capsys, "reduce", "--coeffs", REPEATED_ARG)
@@ -373,6 +403,23 @@ class TestBatch:
             ("a", "ok"), ("b", "convergence_failure"), ("c", "ok")]
         assert records[1]["error"] == SOLVE_OUT_OF_RANGE_MESSAGE
         assert (summary["records"], summary["ok"], summary["errors"]) == (3, 2, 1)
+
+    def test_zero_denominator_line_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("a,1,0,1/0\nb,1,0,1\n"))
+        code, out, _ = run(capsys, "batch", "--input", "-")
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [("a", "parse_error"), ("b", "ok")]
+        assert records[0]["error"] == "cannot read coefficient from '1/0'"
+        assert (summary["records"], summary["ok"], summary["errors"]) == (2, 1, 1)
+
+    def test_julia_overflow_line_is_reduced_and_the_next_line_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"a,{JULIA_OVERFLOW_ARG}\nb,1,0,1\n"))
+        code, out, _ = run(capsys, "batch", "--input", "-", "--method", "julia")
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [("a", "ok"), ("b", "ok")]
+        assert (summary["records"], summary["ok"], summary["errors"]) == (2, 2, 0)
 
     def test_height_increase_is_counted(self, capsys, tmp_path):
         # the centroid of X^4 - X^3 Z - X Z^3 + 2 Z^4 has x = 0.5119..., and the one
@@ -544,6 +591,18 @@ def test_odd_degree_fails_before_the_root_solve(capsys, complex_roots_calls, com
     assert (code, out) == (2, "")
     assert err == "error: odd-degree real forms always have a real root\n"
     assert complex_roots_calls == []
+
+
+def test_readme_names_only_options_a_command_takes():
+    # every --option in README's CLI section, so a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    [subparsers] = [a for a in formred.cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    accepted = {option for command in subparsers.choices.values()
+                for option in command._option_string_actions}
+    assert documented and documented <= accepted, documented - accepted
 
 
 @pytest.mark.parametrize("command", ["reduce", "zero", "center", "julia", "geodata"])

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import formred.julia
 from conftest import SEXTIC_COEFFS, SEXTIC_PAIRS, random_unimodular
-from formred.errors import NotPositiveDefinite
+from formred.errors import ConvergenceFailure, NotPositiveDefinite
 from formred.forms import BinaryForm, transform
 from formred.hyperbolic import PointH2, PointH3, dist_h2, mobius_h2
 from formred.julia import (
@@ -237,6 +238,18 @@ class TestJuliaZeroReal:
     def test_symmetric_pairs(self):
         res = julia_zero_real([PointH2(-1, 1), PointH2(1, 1)])
         assert abs(res.point.x) <= 1e-12
+
+    def test_float_range_is_a_convergence_failure(self, monkeypatch):
+        def overflowing(pairs):
+            def fgh(p):
+                raise OverflowError("math range error")
+
+            return fgh
+
+        monkeypatch.setattr(formred.julia, "_real_problem", overflowing)
+        with pytest.raises(ConvergenceFailure,
+                           match="^Julia minimization leaves the float range$"):
+            julia_zero_real([PointH2(2, 3)])
 
 
 class TestTangentSum:

@@ -78,11 +78,11 @@ class TestComplexRoots:
             n = F.degree
             coeffs = [float(c) for c in F.coeffs]
             h = float(height(F))
-            for r in complex_roots(F, tol=1e-10):
+            for r in complex_roots(F):
                 val = 0j
                 for c in coeffs:
                     val = val * r + c
-                assert abs(val) / (h * (1 + abs(r)) ** n) <= 1e-10
+                assert abs(val) / (h * (1 + abs(r)) ** n) <= formred.roots._RESIDUAL_TOL
 
     def test_deterministic(self):
         F = BinaryForm(SEXTIC_COEFFS)
@@ -522,11 +522,12 @@ class TestAberthRepeat:
 
 # even-degree forms whose solve leaves the float range: at a NaN iterate
 # (twice), in the exact power sums, in an exact Newton step, and in the
-# residual certificate's (1 + |r|)^n
+# residual certificate's (1 + |r|)^n (a last coefficient of 0 would fail
+# before the solve, as a real root)
 FLOAT_RANGE_FORMS = [
     (1, 0, 10**308),
     (Fraction(-3, 10**50), 10**307, 3 * 10**150),
-    (Fraction(-1, 10**299), 30, 0),
+    (Fraction(-1, 10**299), 30, 1),
     (10**300, Fraction(3, 10**320), Fraction(1, 10**49)),
     (Fraction(-3, 10**300), Fraction(-7, 10**320), -7, Fraction(-1, 10**50), 30),
 ]
@@ -770,7 +771,7 @@ class TestCertifiedRoots:
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1), (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1)])
     def test_odd_degree_fails_before_any_solve(self, monkeypatch, coeffs):
-        def failing(F, tol=1e-10):
+        def failing(F):
             raise AssertionError("complex_roots called")
 
         monkeypatch.setattr(formred.roots, "complex_roots", failing)
@@ -779,7 +780,7 @@ class TestCertifiedRoots:
             root_set(BinaryForm(coeffs))
 
     def test_square_free_failure_is_reraised(self, monkeypatch):
-        def failing(F, tol=1e-10):
+        def failing(F):
             raise ConvergenceFailure("direct solve failed")
 
         monkeypatch.setattr(formred.roots, "complex_roots", failing)
@@ -790,10 +791,10 @@ class TestCertifiedRoots:
         F = BinaryForm((1, -2, 2, -2, 1))  # (X - Z)^2 (X^2 + Z^2)
         certify = formred.roots._certify
 
-        def failing_on_f(G, poly, roots, tol):
+        def failing_on_f(G, poly, roots):
             if G == F:
                 raise ConvergenceFailure("certificate failed")
-            return certify(G, poly, roots, tol)
+            return certify(G, poly, roots)
 
         monkeypatch.setattr(formred.roots, "_certify", failing_on_f)
         with pytest.raises(RealRootDetected, match="multiplicity 2"):
@@ -808,7 +809,7 @@ SQUARE_FREE_CLUSTER = (19986816, -128350500, 360638120, -579094759, 581232096,
                        -373397503, 149939175, -34408254, 3454857)
 
 
-def failing_split(F, parts, tol):
+def failing_split(F, parts):
     raise ConvergenceFailure("split failed")
 
 
