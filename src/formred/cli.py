@@ -363,7 +363,7 @@ def build_parser():
     def add_common(p, method=None, formats=(), fmt=None):
         """--method, --format and --precision where a command reads them."""
         if method is not None:
-            p.add_argument("--method", choices=("centroid", "julia", "both"), default=method)
+            p.add_argument("--method", choices=(*METHODS, "both"), default=method)
         if formats:
             p.add_argument("--format", choices=formats, default=fmt)
         if "text" in formats:

@@ -226,22 +226,27 @@ def _poly_mul(u, v):
     return out
 
 
-def transform(F, M):
-    """Apply the variable change F^M(X, Z) = F(aX + bZ, cX + dZ); exact.
+def _substitute(coeffs, a, b, c, d):
+    """The coefficients (descending) of F(aX + bZ, cX + dZ), F given by its
+    coefficients (descending); exact.
 
     Homogeneous Horner, out = out * (aX + bZ) + c_i (cX + dZ)^i with the power
     carried along: O(n^2) products.
     """
-    a, b, c, d = M.a, M.b, M.c, M.d
-    out = [F.coeffs[0]]
+    out = [coeffs[0]]
     power = [1]
-    for ci in F.coeffs[1:]:
+    for ci in coeffs[1:]:
         # times a linear form pX + qZ: new[k] = p * old[k] + q * old[k - 1]
         out = [a * u + b * v for u, v in zip(out + [0], [0] + out)]
         power = [c * u + d * v for u, v in zip(power + [0], [0] + power)]
         if ci:
             out = [u + ci * w for u, w in zip(out, power)]
-    return BinaryForm(tuple(out))
+    return out
+
+
+def transform(F, M):
+    """Apply the variable change F^M(X, Z) = F(aX + bZ, cX + dZ); exact."""
+    return BinaryForm(tuple(_substitute(F.coeffs, M.a, M.b, M.c, M.d)))
 
 
 def height(F):

@@ -317,9 +317,10 @@ def julia_zero_real(pairs):
         start = center_of_mass_h2(pts)
         p, val, riem, it = _minimize(_real_problem(pts), (start.x, math.log(start.y)),
                                      DEFAULT_TOL)
-    except ArithmeticError:
+        point = PointH2(p[0], math.exp(p[1]))
+    except (ArithmeticError, ValueError):
+        # ValueError: a point whose y underflows to 0 or is NaN, or a log of one
         raise ConvergenceFailure("Julia minimization leaves the float range") from None
-    point = PointH2(p[0], math.exp(p[1]))
     _debug(__name__, "julia_zero_real: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 

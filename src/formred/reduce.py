@@ -63,6 +63,11 @@ class ZeroPoint(_Record):
         _set(self, "t_exact", t_exact)
         _set(self, "u_sq_exact", u_sq_exact)
 
+    @classmethod
+    def exact(cls, t, u_sq):
+        """The exact point t + i sqrt(u^2), t and u^2 rationals, with its floats."""
+        return cls(PointH2(float(t), math.sqrt(float(u_sq))), t, u_sq)
+
     def to_dict(self):
         out = {
             "x": format_decimal(self.t_exact if self.t_exact is not None else self.point.x),
@@ -163,7 +168,7 @@ def zero_point(rs, method="centroid"):
         if exact is None:
             zp = ZeroPoint(_centroid.center_from_quadratic_factors(factors))
         else:
-            zp = ZeroPoint(PointH2(float(exact[0]), math.sqrt(float(exact[1]))), *exact)
+            zp = ZeroPoint.exact(*exact)
         pt = zp.point
         r1 = _left_sum((pt.x - p.x) / p.y for p in rs.pairs)
         r2 = _left_sum((pt.y * pt.y - _centroid.q_of_t(pt.x, p.x, p.y)) / p.y for p in rs.pairs)
@@ -216,7 +221,7 @@ def reduce_zero_point(zp, trace=None):
     when zp is rational.  `trace`, when a list, collects the points visited."""
     if zp.t_exact is not None:
         t_red, u_sq_red, M = reduce_point_exact(zp.t_exact, zp.u_sq_exact, trace=trace)
-        return ZeroPoint(PointH2(float(t_red), math.sqrt(float(u_sq_red))), t_red, u_sq_red), M
+        return ZeroPoint.exact(t_red, u_sq_red), M
     pt, M = reduce_point_to_fundamental_domain(zp.point, trace=trace)
     return ZeroPoint(pt), M
 

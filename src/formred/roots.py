@@ -23,9 +23,9 @@ iterate scaled by a common 2^e, Horner runs on Python ints alone; each part is
 rounded once at the end by int / int, which is correctly rounded, so the value
 equals the float of the exact rational value bit for bit.  An exact Newton
 step takes p and p' from one such pass, which carries p' along as
-P' <- P' X + P on p's own scaled coefficients.  The zoom re-solve shifts to a
-dyadic centre and scales by a power of two, so its Taylor shift runs on ints
-too.
+P' <- P' X + P on p's own scaled coefficients.  The zoom re-solve recentres
+on a dyadic point and scales by a power of two with transform's exact change
+of variables (forms._substitute), on ints too.
 """
 
 import cmath
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum, _poly_mul,
-                    _primitive, _Record, _set)
+                    _primitive, _Record, _set, _substitute)
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
@@ -215,6 +215,12 @@ def _newton_polish(coeffs, deriv, x):
     return best
 
 
+def _float_solve(coeffs):
+    """The Aberth estimates of coeffs (descending floats), each polished by float Newton."""
+    deriv = _derivative(coeffs)
+    return [_newton_polish(coeffs, deriv, x) for x in _aberth(coeffs, _MAX_SWEEPS)]
+
+
 def _groups(roots, radius):
     """Group estimates transitively lying within `radius` (relative) of each other."""
     remaining = list(roots)
@@ -343,34 +349,6 @@ def _quality(F, roots):
     return max(conjugate, _power_sum_defect(F, roots))
 
 
-def _taylor_shift_scaled(poly, k, m):
-    """Exact coefficients (descending) of p(k/2^24 + w/2^m) as a polynomial in w.
-
-    Returned as an _IntegerPoly.  With L = 2^24, L^n p((k + u)/L) is the integer
-    polynomial sum_j c_j L^j (k + u)^(n-j); its Taylor shift by k runs on ints,
-    and u = 2^(24-m) w only scales the coefficients by powers of two.
-    """
-    n = len(poly.ints) - 1
-    work = [c << (_ZOOM_BITS * j) for j, c in enumerate(poly.ints)]
-    taylor = []
-    for _ in range(n + 1):
-        acc = 0
-        quotient = []
-        for c in work:
-            acc = acc * k + c
-            quotient.append(acc)
-        taylor.append(quotient.pop())
-        work = quotient
-    shift = _ZOOM_BITS - m
-    den = poly.den << (_ZOOM_BITS * n)
-    if shift >= 0:
-        ints = [t << (shift * j) for j, t in enumerate(taylor)]
-    else:
-        ints = [t << (-shift * (n - j)) for j, t in enumerate(taylor)]
-        den <<= -shift * n
-    return _IntegerPoly(ints[::-1], den)
-
-
 def _zoom_solve(poly, cluster):
     """Re-solve after recentering on a tight root cluster.
 
@@ -388,12 +366,11 @@ def _zoom_solve(poly, cluster):
     scale_exp = math.frexp(2.0 * diam)[1]
     if scale_exp > 0:
         return None
-    shifted = _taylor_shift_scaled(poly, k, -scale_exp).ints
+    # F(2^24 X + k 2^m Z, 2^(24 + m) Z) on ints: den 2^((24 + m) n) p(k/2^24 + w/2^m)
+    m = -scale_exp
+    shifted = _substitute(poly.ints, 1 << _ZOOM_BITS, k << m, 0, 1 << (_ZOOM_BITS + m))
     top = max(abs(c) for c in shifted)
-    local = [c / top for c in shifted]
-    local_deriv = _derivative(local)
-    ws = _aberth(local, _MAX_SWEEPS)
-    ws = [_newton_polish(local, local_deriv, w) for w in ws]
+    ws = _float_solve([c / top for c in shifted])
     x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
     back = [x0f + sf * w for w in ws]
     _debug(__name__, "zoom re-solve at %s with scale %s", x0f, sf)
@@ -407,23 +384,22 @@ def complex_roots(F):
     every root, with the polynomial value computed in exact arithmetic; the
     first two power sums must also match their exact coefficient values.
 
-    One ladder, top to bottom.  A form with a coefficient too large for a float
-    fails at once, and a solve fails where its float arithmetic overflows or
-    divides by zero.  The first solve runs Aberth, float Newton on each
-    estimate, the cluster merge, and exact Newton on each merged value with the
-    cluster's size as its multiplicity.  When its conjugate or power-sum defect
-    exceeds 1e-12 and some estimates group within the zoom radius, F is tested
-    once for a repeated factor (Yun's exact decomposition on ints).  A form
-    with one is split into its square-free parts P_i of multiplicity i: each
-    part is solved by this function and paired on its own, its roots are
-    repeated i times, and the certificates are checked on F itself.  The groups
-    of a square-free form, or of a form whose split failed, are zoomed into in
-    turn from the same first-solve estimates, until the defect is 1e-12 or
-    below: re-solved in exact coordinates recentred on the group, kept when the
-    defect falls.  When the roots then fail to certify, or a failed split's
-    zoomed roots fail to pair, the split's error is raised; a form with a
-    repeated factor that was not split yet is split, and a square-free form
-    re-raises.  A linear part is a real root.
+    A form with a coefficient too large for a float fails at once, and a solve
+    fails where its float arithmetic overflows or divides by zero.  The first
+    solve runs Aberth, float Newton on each estimate, the cluster merge, and
+    exact Newton on each merged value with the cluster's size as its
+    multiplicity.  Then two cases.  With no cluster (a conjugate and power-sum
+    defect of 1e-12 or below, or no estimates grouped within the zoom radius)
+    its roots are returned as soon as they certify.  Otherwise, or when they
+    fail, F is tested once for a repeated factor (Yun's exact decomposition on
+    ints).  A form with one is split into its square-free parts P_i of
+    multiplicity i, each solved and paired on its own, its roots repeated i
+    times and certified on F.  A square-free form, or one whose split failed,
+    is zoomed into at each cluster of the first solve until the defect is
+    1e-12 or below, keeping each zoom that lowers it.  Those roots are
+    returned when they certify (and, after a failed split, pair); otherwise
+    the split's error is raised, or the certificate's when nothing was split.
+    A linear part is a real root.
     """
     try:
         return _solve(F)
@@ -436,26 +412,27 @@ def _solve(F):
     that only whole forms pass through complex_roots."""
     coeffs = _float_coeffs(F)
     poly = _IntegerPoly.of_form(F)
-    deriv = _derivative(coeffs)
-    xs = _aberth(coeffs, _MAX_SWEEPS)
-    xs = _refine(poly, [_newton_polish(coeffs, deriv, x) for x in xs])
-    # clusters of nearby roots are exactly where double precision runs out;
-    # a repeated factor is split off exactly, otherwise zoom into each cluster
-    # and keep the result when the integrity certificates improve
+    xs = _refine(poly, _float_solve(coeffs))
+    # clusters of nearby roots are exactly where double precision runs out
     quality = _quality(F, xs)
     clusters = [] if quality <= 1e-12 else [
         group for group in _groups(xs, _ZOOM_GROUP_RADIUS) if len(group) > 1]
-    parts = split_error = None
-    if clusters:
-        parts = square_free_parts(F)
-        if not _square_free(parts):
-            _debug(__name__, "split at a repeated-factor cluster of %s into multiplicities %s",
-                   F, [i for _, i in parts])
-            try:
-                return _split(F, parts)
-            except (ConvergenceFailure, UnpairedRoot) as exc:
-                _debug(__name__, "zoom fallback after a failed split of %s: %s", F, exc)
-                split_error = exc
+    if not clusters:
+        try:
+            return _certified(F, poly, xs)
+        except ConvergenceFailure:
+            pass
+    # a repeated factor is split off exactly; a square-free form, or a failed
+    # split, zooms into each cluster and keeps the result when the integrity
+    # certificates improve
+    parts, split_error = square_free_parts(F), None
+    if not _square_free(parts):
+        _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
+        try:
+            return _split(F, poly, parts)
+        except (ConvergenceFailure, UnpairedRoot) as exc:
+            _debug(__name__, "failed split of %s: %s", F, exc)
+            split_error = exc
     for group in clusters:
         if quality <= 1e-12:
             break
@@ -466,21 +443,21 @@ def _solve(F):
         if new_quality < quality:
             xs, quality = zoomed, new_quality
     try:
-        _certify(F, poly, xs)
-        xs.sort(key=lambda r: (r.real, r.imag))
+        xs = _certified(F, poly, xs)
         if split_error is not None:
             pair_conjugates(xs)
-    except (ConvergenceFailure, UnpairedRoot):
-        if split_error is not None:
-            raise split_error from None
-        if parts is None:
-            parts = square_free_parts(F)
-        if _square_free(parts):
-            raise
-    else:
         return xs
-    _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
-    return _split(F, parts)
+    except (ConvergenceFailure, UnpairedRoot):
+        if split_error is None:
+            raise
+        raise split_error from None
+
+
+def _certified(F, poly, roots):
+    """roots, sorted, once they pass F's certificates (_certify)."""
+    _certify(F, poly, roots)
+    roots.sort(key=lambda r: (r.real, r.imag))
+    return roots
 
 
 def _certify(F, poly, roots):
@@ -620,10 +597,10 @@ def _square_free(parts):
     return len(parts) == 1 and parts[0][1] == 1
 
 
-def _split(F, parts):
-    """The roots of F from its square-free parts [(P, i), ...]: each part solved
-    and paired alone, its roots repeated i times, then the certificates checked
-    on F itself."""
+def _split(F, poly, parts):
+    """The roots of F (poly: F as an _IntegerPoly) from its square-free parts
+    [(P, i), ...]: each part solved and paired alone, its roots repeated i
+    times, then the certificates checked on F itself."""
     roots = []
     for P, i in parts:
         if len(P) == 2:
@@ -633,9 +610,7 @@ def _split(F, parts):
         # the whole form again, since complex_roots returns roots only
         pair_conjugates(part_roots)
         roots += part_roots * i
-    _certify(F, _IntegerPoly.of_form(F), roots)
-    roots.sort(key=lambda r: (r.real, r.imag))
-    return roots
+    return _certified(F, poly, roots)
 
 
 def root_set(F):

@@ -151,7 +151,7 @@ def test_failed_split_falls_back_to_the_zoom(caplog):
     coeffs = corpora.generate("hard-scramble", 1, 5)[4]
     report = formred.reduce_form(formred.BinaryForm(coeffs), method="centroid")
     assert report.matrix == formred.UnimodularMatrix(15, 7, -43, -20)
-    assert any(r.getMessage().startswith("zoom fallback after a failed split")
+    assert any(r.getMessage().startswith("failed split of ")
                for r in caplog.records)
 
 
@@ -169,6 +169,48 @@ def test_zoomed_cluster_certifies_under_exact_newton_alone():
         25440, 537840, -118800, 648000)
 
 
+def split_decisions(caplog):
+    return [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+
+
+def first_solve_has_no_cluster(F):
+    """True when the first solve of F fails a certificate while no two of its
+    estimates group within the zoom radius: the ladder's no-cluster failure."""
+    poly = formred.roots._IntegerPoly.of_form(F)
+    xs = formred.roots._refine(poly, formred.roots._float_solve(formred.roots._float_coeffs(F)))
+    groups = formred.roots._groups(xs, formred.roots._ZOOM_GROUP_RADIUS)
+    return formred.roots._quality(F, xs) > 1e-12 and all(len(g) == 1 for g in groups)
+
+
+def test_unclustered_failure_is_split(caplog):
+    # hard-scramble seed 1 #93, degree 16, square-free parts of multiplicities
+    # 1 and 2: split at once, with one decision, and the split reduces
+    caplog.set_level(logging.DEBUG, logger="formred.roots")
+    F = formred.BinaryForm(corpora.generate("hard-scramble", 1, 94)[93])
+    assert first_solve_has_no_cluster(F)
+    caplog.clear()
+    report = formred.reduce_form(F, method="centroid")
+    assert report.matrix == formred.UnimodularMatrix(-44, -1, -43, -1)
+    [decision] = split_decisions(caplog)
+    assert decision == f"square-free split of {F} into multiplicities [1, 2]"
+
+
+def test_unclustered_failed_split_raises_its_error(caplog):
+    # hard-scramble seed 1 #94, degree 18: the split fails, and with no
+    # cluster to zoom into its error is raised
+    caplog.set_level(logging.DEBUG, logger="formred.roots")
+    F = formred.BinaryForm(corpora.generate("hard-scramble", 1, 95)[94])
+    assert first_solve_has_no_cluster(F)
+    caplog.clear()
+    with pytest.raises(formred.ConvergenceFailure) as failure:
+        formred.roots.root_set(F)
+    assert str(failure.value) == "root multiset fails the power-sum certificate (9.435e-05)"
+    logged = split_decisions(caplog)
+    assert len(logged) == 2
+    assert logged[0].startswith("square-free split of ")
+    assert logged[1] == f"failed split of {F}: {failure.value}"
+
+
 # hard-scramble forms whose certified roots do not pair, with the message
 # recorded before the root solver's ladder became one function and the split
 # decisions logged: seed 2 #100 (degree 18, a degree-10 part times a squared
@@ -176,7 +218,7 @@ def test_zoomed_cluster_certifies_under_exact_newton_alone():
 # error is raised without a second split) and seed 3 #73 (degree 12,
 # square-free, so nothing is split)
 UNPAIRED = {
-    (2, 100): (["split at a repeated-factor cluster of ", "zoom fallback after a failed split of "],
+    (2, 100): (["square-free split of ", "failed split of "],
                "no conjugate partner for (-0.9424128376158092+0.00014863377336235518j) "
                "(closest at distance 3.325e-08)"),
     (3, 73): ([], "no conjugate partner for (0.2264870361435714+0.00011367922407998224j) "

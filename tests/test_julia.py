@@ -251,6 +251,17 @@ class TestJuliaZeroReal:
                            match="^Julia minimization leaves the float range$"):
             julia_zero_real([PointH2(2, 3)])
 
+    @pytest.mark.parametrize("pairs", [
+        # the start point's x is inf - inf: its y is NaN
+        [PointH2(1e300, 1e-300), PointH2(-1e300, 1e-300)],
+        # the start point's y^2 underflows to 0
+        [PointH2(0.0, 1e-300), PointH2(0.0, 1e-300)],
+    ])
+    def test_start_point_out_of_float_range_is_a_convergence_failure(self, pairs):
+        with pytest.raises(ConvergenceFailure,
+                           match="^Julia minimization leaves the float range$"):
+            julia_zero_real(pairs)
+
 
 class TestTangentSum:
     def test_vanishes_at_minimizer(self):

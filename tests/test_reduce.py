@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from formred.reduce import (
     is_reduced,
     reduce_form,
     reduced_zero_matches,
+    ZeroPoint,
     zero_point,
 )
 from formred.roots import root_set
@@ -196,7 +198,7 @@ class TestRepeatedFactors:
             caplog.clear()
             comparison = compare_methods(F)
             decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
-            if decisions and not any(d.startswith("zoom fallback") for d in decisions):
+            if decisions and not any(d.startswith("failed split") for d in decisions):
                 rescued += 1
             for rep in (comparison.centroid_report, comparison.julia_report):
                 assert reduced_zero_matches(rep)
@@ -211,6 +213,11 @@ class TestZeroPoint:
         assert diag["exact"] is True
         assert abs(diag["system_residuals"][0]) <= 1e-10
         assert abs(diag["system_residuals"][1]) <= 1e-10
+
+    def test_exact_point_from_t_and_u_sq(self, sextic):
+        zp = ZeroPoint.exact(SEXTIC_T, SEXTIC_U_SQ)
+        assert zp == zero_point(root_set(sextic), method="centroid")[0]
+        assert (zp.point.x, zp.point.y) == (float(SEXTIC_T), math.sqrt(float(SEXTIC_U_SQ)))
 
     @pytest.mark.parametrize("coeffs, exact", [(SEXTIC_COEFFS, True), ((1, 1, 2, 1, 1), False)])
     def test_one_exact_attempt(self, monkeypatch, coeffs, exact):

@@ -22,6 +22,7 @@ from formred.forms import (
     RealQuadraticFactor,
     UnimodularMatrix,
     _left_sum,
+    _substitute,
     expand_quadratic_factors,
     from_quadratic_factors,
     height,
@@ -39,7 +40,6 @@ from formred.roots import (
     _newton_polish,
     _rationalize,
     _root_magnitude_bound,
-    _taylor_shift_scaled,
     complex_roots,
     pair_conjugates,
     real_quadratic_factors,
@@ -268,11 +268,13 @@ class TestExactEvaluation:
 
     @settings(max_examples=100, deadline=None)
     @given(forms, st.integers(-2**40, 2**40), st.integers(0, 80))
-    def test_taylor_shift_matches_fractions(self, F, k, m):
-        shifted = _taylor_shift_scaled(_IntegerPoly.of_form(F), k, m)
+    def test_zoom_substitution_matches_fractions(self, F, k, m):
+        # the zoom's change of variables, F(2^24 X + k 2^m Z, 2^(24 + m) Z) on
+        # the integer coefficients, is den 2^((24 + m) n) times F(k/2^24 + w/2^m, 1)
+        poly, n = _IntegerPoly.of_form(F), F.degree
+        shifted = _substitute(poly.ints, 1 << 24, k << m, 0, 1 << (24 + m))
         want = fraction_taylor_shift_scaled(F.coeffs, Fraction(k, 2**24), Fraction(1, 2**m))
-        assert shifted.den > 0
-        assert [Fraction(c, shifted.den) for c in shifted.ints] == want
+        assert shifted == [poly.den * 2**((24 + m) * n) * c for c in want]
 
 
 def reference_horner(coeffs, x):
@@ -809,7 +811,7 @@ SQUARE_FREE_CLUSTER = (19986816, -128350500, 360638120, -579094759, 581232096,
                        -373397503, 149939175, -34408254, 3454857)
 
 
-def failing_split(F, parts):
+def failing_split(F, poly, parts):
     raise ConvergenceFailure("split failed")
 
 
@@ -840,7 +842,7 @@ class TestClusterPolicy:
         F = BinaryForm(REPEATED_CLUSTER)
         roots = complex_roots(F)
         assert [r.getMessage() for r in caplog.records if "split" in r.getMessage()] == [
-            f"split at a repeated-factor cluster of {F} into multiplicities [1, 2]"]
+            f"square-free split of {F} into multiplicities [1, 2]"]
         assert len(roots) == 8
         pairs = pair_conjugates(roots)
         assert sorted(pairs.count(p) for p in pairs) == [1, 1, 2, 2]
@@ -890,7 +892,7 @@ class TestClusterPolicy:
         root_set(BinaryForm(REPEATED_CLUSTER))
         decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
         assert len(decisions) == 1
-        assert decisions[0].startswith("split at a repeated-factor cluster of ")
+        assert decisions[0].startswith("square-free split of ")
         assert decisions[0].endswith("into multiplicities [1, 2]")
 
         caplog.clear()
@@ -898,6 +900,6 @@ class TestClusterPolicy:
         root_set(BinaryForm(REPEATED_CLUSTER))
         decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
         assert len(decisions) == 2
-        assert decisions[0].startswith("split at a repeated-factor cluster of ")
-        assert decisions[1].startswith("zoom fallback after a failed split of ")
+        assert decisions[0].startswith("square-free split of ")
+        assert decisions[1].startswith("failed split of ")
         assert decisions[1].endswith(": split failed")
