@@ -33,6 +33,7 @@ from .forms import _left_sum
 from .hyperbolic import (
     HyperboloidPoint,
     PointH2,
+    cosh_dist_h2,
     from_hyperboloid,
     minkowski,
     to_hyperboloid,
@@ -67,13 +68,15 @@ def q_of_t(t, x, y):
     return (t - x) * (t - x) + y * y
 
 
+def _center(xs, ys):
+    """(t, u^2) of the center of mass: t = psi(x, y), u^2 = psi(q(t), y)."""
+    t = psi(xs, ys)
+    return t, psi([q_of_t(t, x, y) for x, y in zip(xs, ys)], ys)
+
+
 def center_exact(xs, ys):
     """Exact center of mass (t, u^2) for rational coordinates."""
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    t = psi(xs, ys)
-    u_sq = psi([q_of_t(t, x, y) for x, y in zip(xs, ys)], ys)
-    return t, u_sq
+    return _center([Fraction(x) for x in xs], [Fraction(y) for y in ys])
 
 
 def center_of_mass_h2(points):
@@ -83,10 +86,7 @@ def center_of_mass_h2(points):
         raise ValueError("need at least one point")
     if len(points) == 1:
         return points[0]
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    t = psi(xs, ys)
-    u_sq = psi([q_of_t(t, x, y) for x, y in zip(xs, ys)], ys)
+    t, u_sq = _center([p.x for p in points], [p.y for p in points])
     return PointH2(t, math.sqrt(u_sq))
 
 
@@ -193,10 +193,7 @@ def center_of_mass_hyperboloid(points):
 
 def sum_cosh(center, points):
     """sum_j cosh d(center, p_j) for half-plane points; the minimized quantity."""
-    return _left_sum(
-        1.0 + ((center.x - p.x) ** 2 + (center.y - p.y) ** 2) / (2.0 * center.y * p.y)
-        for p in points
-    )
+    return _left_sum(cosh_dist_h2(center, p) for p in points)
 
 
 def oracle_center(points):

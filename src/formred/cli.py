@@ -64,7 +64,7 @@ def _configure_logging():
         logging.basicConfig(level=getattr(logging, level, logging.INFO), stream=sys.stderr)
 
 
-def _square_free(n):
+def _square_part(n):
     """n = m^2 * s with s squarefree (best effort for large prime cofactors)."""
     m, s, x = 1, 1, n
     p = 2
@@ -90,7 +90,7 @@ def _square_free(n):
 def sqrt_display(value):
     """Render sqrt(value) of an exact Fraction as "(m/q)*sqrt(s)"."""
     p, q = value.numerator, value.denominator
-    m, s = _square_free(p * q)
+    m, s = _square_part(p * q)
     coeff = Fraction(m, q)
     if s == 1:
         return str(coeff)

@@ -49,7 +49,7 @@ class _Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "__slots__" in cls.__dict__:
+        if cls.__dict__.get("__slots__"):  # an abstract base has no fields
             fields = cls._fields = tuple(cls.__slots__)
             get = attrgetter(*fields)
             # the tuple of field values, a 1-tuple for a single field

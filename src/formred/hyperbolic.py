@@ -132,11 +132,9 @@ def dist_h2_cross_ratio(z, w):
 
 
 def boundary_dist_h2(A, z):
-    """Signed distance-like quantity from the ideal point A to z; additive on geodesics."""
-    if is_infinite(A):
-        return math.log(1.0 / z.y)
-    dx = z.x - float(A)
-    return math.log((dx * dx + z.y * z.y) / z.y)
+    """Signed distance-like quantity from the ideal point A to z; additive on
+    geodesics.  It is boundary_dist_h3 on the real cross-section of H3."""
+    return boundary_dist_h3(embed_h2(z), A)
 
 
 def cosh_dist_h3(w1, w2):
@@ -164,21 +162,20 @@ def embed_h2(z):
 
 
 def _entries(M):
+    """Entries a, b, c, d of M, a UnimodularMatrix or a pair of rows
+    ((a, b), (c, d)) of numbers with determinant 1 to within 1e-9."""
     if isinstance(M, UnimodularMatrix):
         return M.a, M.b, M.c, M.d
-    try:
-        (a, b), (c, d) = M
-    except (TypeError, ValueError):
-        a, b, c, d = M
+    (a, b), (c, d) = M
+    det = a * d - b * c
+    if abs(det - 1) > 1e-9:
+        raise ValueError(f"matrix must have determinant 1, got {det}")
     return a, b, c, d
 
 
 def _inverse_entries(M):
-    """Entries of M^(-1) for det-1 M (up to 1e-9), without forming the inverse numerically."""
+    """Entries of M^(-1) for det-1 M, without forming the inverse numerically."""
     a, b, c, d = _entries(M)
-    det = a * d - b * c
-    if abs(det - 1) > 1e-9:
-        raise ValueError(f"matrix must have determinant 1, got {det}")
     return d, -b, -c, a
 
 

@@ -13,7 +13,9 @@ norm is the convergence certificate.
 Optimizer: damped Newton in (x, tau) or (Re z, Im z, tau) with t = exp(tau)
 (keeps t > 0), Armijo backtracking, and a plain gradient step whenever the
 Hessian is not positive definite.  Initialized at the hyperbolic center of
-mass (real path) or at the mean/spread of the roots (complex path).
+mass (real path) or at the mean/spread of the roots (complex path).  Both
+minimizers raise ConvergenceFailure when a step, the start point or the
+final point leaves the float range.
 
 The optimizer works on tuples of plain floats: a Cholesky pass tests the
 Hessian, a partial-pivot elimination solves for the Newton step, and sums over
@@ -21,11 +23,12 @@ the roots run left to right.
 """
 
 import math
+from contextlib import contextmanager
 
 from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, NotPositiveDefinite
 from .forms import _left_sum, _Record, _set
-from .hyperbolic import PointH2, PointH3
+from .hyperbolic import PointH2, PointH3, boundary_dist_h3, embed_h2
 from .roots import _debug, root_set
 
 DEFAULT_TOL = 1e-10
@@ -109,12 +112,9 @@ def _as_h3(w):
 
 def distance_sum(w, roots):
     """F~(w) = sum of boundary distances from w to the roots."""
-    z, t = _as_h3(w)
-    total = 0.0
-    for r in roots:
-        d = z - complex(r)
-        total += math.log((d.real * d.real + d.imag * d.imag + t * t) / t)
-    return total
+    if isinstance(w, PointH2):
+        w = embed_h2(w)
+    return _left_sum(boundary_dist_h3(w, r) for r in roots)
 
 
 def tangent_sum(w, roots):
@@ -283,20 +283,33 @@ def _complex_problem(roots):
     return fgh
 
 
+@contextmanager
+def _float_range():
+    """Turns a minimization that leaves the float range into ConvergenceFailure;
+    a ValueError is a point whose y or t underflows to 0 or is NaN, or a log of one."""
+    try:
+        yield
+    except (ArithmeticError, ValueError):
+        raise ConvergenceFailure("Julia minimization leaves the float range") from None
+
+
 def julia_zero(roots, tol=DEFAULT_TOL, start=None):
-    """Unique minimizer of F~ over the upper half-space (needs >= 2 distinct roots)."""
+    """Unique minimizer of F~ over the upper half-space (needs >= 2 distinct roots).
+
+    A minimization that leaves the float range, from the start point at the
+    mean and spread of the roots to the final point, raises ConvergenceFailure.
+    """
     roots = [complex(r) for r in roots]
-    if len(roots) < 2:
-        raise ValueError("need at least two roots")
-    if start is None:
-        mean = _left_sum(roots) / len(roots)
-        spread = math.sqrt(_left_sum(abs(r - mean) ** 2 for r in roots) / len(roots))
-        if spread == 0:
-            raise ValueError("need at least two distinct roots")
-        start = PointH3(mean, spread)
-    p0 = (start.z.real, start.z.imag, math.log(start.t))
-    p, val, riem, it = _minimize(_complex_problem(roots), p0, tol)
-    point = PointH3(complex(p[0], p[1]), math.exp(p[2]))
+    if len(set(roots)) < 2:
+        raise ValueError("need at least two distinct roots")
+    with _float_range():
+        if start is None:
+            mean = _left_sum(roots) / len(roots)
+            spread = math.sqrt(_left_sum(abs(r - mean) ** 2 for r in roots) / len(roots))
+            start = PointH3(mean, spread)
+        p0 = (start.z.real, start.z.imag, math.log(start.t))
+        p, val, riem, it = _minimize(_complex_problem(roots), p0, tol)
+        point = PointH3(complex(p[0], p[1]), math.exp(p[2]))
     _debug(__name__, "julia_zero: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 
@@ -307,20 +320,17 @@ def julia_zero_real(pairs):
     `pairs` is a sequence of upper half-plane points, one per conjugate pair
     (a RootSet's pairs); the objective counts each pair twice, so the value
     matches distance_sum over the full root list.  The minimizer is certified
-    to gradient norm DEFAULT_TOL; a minimization that leaves the float range
-    raises ConvergenceFailure.
+    to gradient norm DEFAULT_TOL; as in julia_zero, a minimization that leaves
+    the float range raises ConvergenceFailure.
     """
     pts = tuple(pairs)
     if not pts:
         raise ValueError("need at least one conjugate pair")
-    try:
+    with _float_range():
         start = center_of_mass_h2(pts)
         p, val, riem, it = _minimize(_real_problem(pts), (start.x, math.log(start.y)),
                                      DEFAULT_TOL)
         point = PointH2(p[0], math.exp(p[1]))
-    except (ArithmeticError, ValueError):
-        # ValueError: a point whose y underflows to 0 or is NaN, or a log of one
-        raise ConvergenceFailure("Julia minimization leaves the float range") from None
     _debug(__name__, "julia_zero_real: %d iterations, gradient %.2e", it, riem)
     return JuliaResult(point, val, riem, it)
 

@@ -11,8 +11,8 @@ encode ideal points: Q_r = (X - rZ)^2, Q_oo = Z^2 and their Hermitian analogues.
 import math
 
 from .errors import DegenerateCombination, NotPositiveDefinite
-from .hyperbolic import PointH2, PointH3
-from .forms import UnimodularMatrix, _left_sum, _Record, _set
+from .forms import _left_sum, _Record, _set
+from .hyperbolic import PointH2, PointH3, _entries
 
 _NEG_TOL = 1e-9
 
@@ -24,7 +24,42 @@ def _first_nonzero(values):
     return None
 
 
-class PosDefQuadratic(_Record):
+class _DefiniteForm(_Record):
+    """What PosDefQuadratic and HermitianForm share: a positive semidefinite
+    form (a, b, c) with discriminant delta, checked on construction and equal
+    to another form of its kind up to a positive factor (so not hashable)."""
+
+    __slots__ = ()
+
+    def _check(self, kind):
+        scale = max(abs(self.a), abs(self.b), abs(self.c))
+        if scale == 0:
+            raise ValueError(f"zero {kind}")
+        if self.a < -_NEG_TOL * scale or self.delta < -_NEG_TOL * scale * scale:
+            raise NotPositiveDefinite(f"indefinite {kind} (a={self.a}, delta={self.delta})")
+
+    @property
+    def is_positive_definite(self):
+        return self.a > 0 and self.delta > 0
+
+    @property
+    def is_boundary(self):
+        return not self.is_positive_definite
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = self._values, other._values
+        i = _first_nonzero(mine)
+        if i != _first_nonzero(theirs):
+            return False
+        ratio = mine[i] * theirs[i].conjugate()
+        if ratio.imag != 0 or ratio.real <= 0:
+            return False
+        return all(mine[j] * theirs[i] == theirs[j] * mine[i] for j in range(3))
+
+
+class PosDefQuadratic(_DefiniteForm):
     """a*X^2 - 2b*XZ + c*Z^2, positive semidefinite (boundary forms allowed);
     a, b, c are floats or exact rationals.  Equal up to a positive factor."""
 
@@ -34,23 +69,11 @@ class PosDefQuadratic(_Record):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
-        scale = max(abs(self.a), abs(self.b), abs(self.c))
-        if scale == 0:
-            raise ValueError("zero quadratic form")
-        if self.a < -_NEG_TOL * scale or self.delta < -_NEG_TOL * scale * scale:
-            raise NotPositiveDefinite(f"indefinite quadratic (a={self.a}, delta={self.delta})")
+        self._check("quadratic form")
 
     @property
     def delta(self):
         return self.a * self.c - self.b * self.b
-
-    @property
-    def is_positive_definite(self):
-        return self.a > 0 and self.delta > 0
-
-    @property
-    def is_boundary(self):
-        return not self.is_positive_definite
 
     @classmethod
     def boundary_point(cls, r):
@@ -72,19 +95,8 @@ class PosDefQuadratic(_Record):
         """Plain quadratic coefficients (a, -2b, c) of aX^2 - 2bXZ + cZ^2."""
         return (self.a, -2 * self.b, self.c)
 
-    def __eq__(self, other):
-        if not isinstance(other, PosDefQuadratic):
-            return NotImplemented
-        mine, theirs = (self.a, self.b, self.c), (other.a, other.b, other.c)
-        i = _first_nonzero(mine)
-        if i != _first_nonzero(theirs):
-            return False
-        if mine[i] * theirs[i] <= 0:
-            return False
-        return all(mine[j] * theirs[i] == theirs[j] * mine[i] for j in range(3))
 
-
-class HermitianForm(_Record):
+class HermitianForm(_DefiniteForm):
     """a|X|^2 - b X conj(Z) - conj(b) conj(X) Z + c|Z|^2 with real a, c and
     complex b.  Equal up to a positive factor."""
 
@@ -94,23 +106,11 @@ class HermitianForm(_Record):
         _set(self, "a", a)
         _set(self, "b", complex(b))
         _set(self, "c", c)
-        scale = max(abs(self.a), abs(self.b), abs(self.c))
-        if scale == 0:
-            raise ValueError("zero Hermitian form")
-        if self.a < -_NEG_TOL * scale or self.delta < -_NEG_TOL * scale * scale:
-            raise NotPositiveDefinite(f"indefinite Hermitian form (a={self.a}, delta={self.delta})")
+        self._check("Hermitian form")
 
     @property
     def delta(self):
         return self.a * self.c - (self.b.real**2 + self.b.imag**2)
-
-    @property
-    def is_positive_definite(self):
-        return self.a > 0 and self.delta > 0
-
-    @property
-    def is_boundary(self):
-        return not self.is_positive_definite
 
     @classmethod
     def boundary_point(cls, beta):
@@ -126,19 +126,6 @@ class HermitianForm(_Record):
         if self.a == 0:
             raise NotPositiveDefinite("cannot normalize a form with a = 0")
         return HermitianForm(1.0, self.b / self.a, self.c / self.a)
-
-    def __eq__(self, other):
-        if not isinstance(other, HermitianForm):
-            return NotImplemented
-        mine = (self.a, self.b, self.c)
-        theirs = (other.a, other.b, other.c)
-        i = _first_nonzero(mine)
-        if i != _first_nonzero(theirs):
-            return False
-        ratio = complex(mine[i]) * complex(theirs[i]).conjugate()
-        if ratio.imag != 0 or ratio.real <= 0:
-            return False
-        return all(mine[j] * theirs[i] == theirs[j] * mine[i] for j in range(3))
 
 
 def zero_quadratic(Q):
@@ -174,12 +161,7 @@ def embed_real(Q):
 
 def act_on_quadratic(Q, M):
     """Substitution action Q^M(X, Z) = Q(aX + bZ, cX + dZ); preserves the discriminant."""
-    if isinstance(M, UnimodularMatrix):
-        a, b, c, d = M.a, M.b, M.c, M.d
-    else:
-        (a, b), (c, d) = M
-        if abs(a * d - b * c - 1) > 1e-9:
-            raise ValueError("matrix must have determinant 1")
+    a, b, c, d = _entries(M)
     aQ, bQ, cQ = Q.a, Q.b, Q.c
     return PosDefQuadratic(
         aQ * a * a - 2 * bQ * a * c + cQ * c * c,
@@ -190,13 +172,7 @@ def act_on_quadratic(Q, M):
 
 def act_on_hermitian(H, M):
     """Substitution action with conjugates on the conjugated slots; det M = 1."""
-    if isinstance(M, UnimodularMatrix):
-        a, b, c, d = complex(M.a), complex(M.b), complex(M.c), complex(M.d)
-    else:
-        (a, b), (c, d) = M
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        if abs(a * d - b * c - 1) > 1e-9:
-            raise ValueError("matrix must have determinant 1")
+    a, b, c, d = (complex(v) for v in _entries(M))
     aH, bH, cH = H.a, H.b, H.c
     a2 = aH * abs(a) ** 2 - 2 * (bH * a * c.conjugate()).real + cH * abs(c) ** 2
     c2 = aH * abs(b) ** 2 - 2 * (bH * b * d.conjugate()).real + cH * abs(d) ** 2

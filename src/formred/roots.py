@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
 from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum, _poly_mul,
-                    _primitive, _Record, _set, _substitute)
+                    _primitive, _Record, _set, _substitute, primitive_integral_coeffs)
 from .hyperbolic import PointH2
 
 REALNESS_THRESHOLD = 1e-8
@@ -575,7 +575,7 @@ def square_free_parts(F):
     (G. E. Collins, J. ACM 14, 1967) and exact integer quotients, for every
     divisor is primitive; only the parts are made monic over the rationals.
     """
-    f = _primitive(_IntegerPoly.of_form(F).ints)
+    f = primitive_integral_coeffs(F)
     df = _derivative(f)
     g = _primitive_gcd(f, df)
     b, c = _exact_quotient(f, g), _exact_quotient(df, g)

@@ -218,6 +218,17 @@ class TestJuliaZero:
         with pytest.raises(ValueError):
             julia_zero([1j, 1j])
 
+    @pytest.mark.parametrize("roots", [
+        # the start spread squares 1e300: OverflowError
+        [1e300 + 1e-300j, 1e300 - 1e-300j, -1e300 + 1e-300j, -1e300 - 1e-300j],
+        # distinct roots whose start spread underflows to 0
+        [1e-300j, -1e-300j, 2e-300j, -2e-300j],
+    ])
+    def test_out_of_float_range_is_a_convergence_failure(self, roots):
+        with pytest.raises(ConvergenceFailure,
+                           match="^Julia minimization leaves the float range$"):
+            julia_zero(roots)
+
 
 class TestJuliaZeroReal:
     def test_single_pair(self):

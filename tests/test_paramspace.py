@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,12 @@ class TestInvZeroQuadratic:
         assert PosDefQuadratic(2, 0, 2) == PosDefQuadratic(1, 0, 1)
         assert PosDefQuadratic(2, 1, 2) != PosDefQuadratic(1, 0, 1)
 
+    def test_projective_equality_of_exact_coefficients(self):
+        assert PosDefQuadratic(Fraction(1, 2), 0, Fraction(1, 2)) == PosDefQuadratic(1, 0, 1)
+
+    def test_negative_factor_is_not_equality(self):
+        assert PosDefQuadratic(0, 0, 1) != PosDefQuadratic(0, 0, -1)
+
 
 class TestHermitian:
     def test_zero_unit(self):
@@ -81,6 +88,10 @@ class TestHermitian:
             back = zero_hermitian(inv_zero_hermitian(w))
             assert abs(back.z - w.z) <= 1e-12 * (1 + abs(w.z))
             assert abs(back.t - w.t) <= 1e-12 * (1 + w.t)
+
+    def test_projective_equality(self):
+        assert HermitianForm(2, 2 + 2j, 5) == HermitianForm(1, 1 + 1j, 2.5)
+        assert HermitianForm(0, 0, 1) != HermitianForm(0, 0, -1)
 
     def test_inv_zero_c_field(self):
         w = PointH3(complex(1, 2), 3.0)
@@ -105,6 +116,12 @@ class TestActions:
         assert act_on_quadratic(Q, UnimodularMatrix.identity()) == Q
         H = HermitianForm(1, complex(1, 1), 3)
         assert act_on_hermitian(H, UnimodularMatrix.identity()) == H
+
+    def test_rejects_determinant_other_than_one(self):
+        with pytest.raises(ValueError, match="determinant 1"):
+            act_on_quadratic(PosDefQuadratic(1, 0, 1), ((2, 0), (0, 1)))
+        with pytest.raises(ValueError, match="determinant 1"):
+            act_on_hermitian(HermitianForm(1, 0, 1), ((2, 0), (0, 1)))
 
     def test_delta_invariance(self):
         rng = random.Random(44)
