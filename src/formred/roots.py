@@ -5,13 +5,14 @@ Roots are found by the Aberth-Ehrlich simultaneous iteration started on a
 deterministic circle (radius from a Fujiwara-type magnitude bound, fixed phase
 offset), then polished root-by-root with float Newton steps.  The iteration
 stops when a sweep moves no estimate by more than 1e-14 (relative), after 200
-sweeps, or at the first sweep whose float iterates repeat an earlier sweep's
-bit for bit: from there it only replays a cycle, and the cycle gives at once
-the iterates of the last sweep.  Estimates closer than the clustering radius
-are merged to their mean and polished by exact Newton steps x -= m p/p', m
-the number merged, which recovers accuracy for multiple roots.  Forms with a
-numerically real root are rejected loudly: the downstream center-of-mass
-formulas divide by the imaginary parts.
+sweeps, or, once its float iterates repeat an earlier sweep's bit for bit, at
+the sweep that leaves sweep 200's iterates: from the repeat on it only replays
+a cycle.  Brent's cycle test finds the repeat from the first sweep, with no
+threshold.  Estimates closer than the clustering radius are merged to their
+mean and polished by exact Newton steps x -= m p/p', m the number merged,
+which recovers accuracy for multiple roots.  Forms with a numerically real
+root are rejected loudly: the downstream center-of-mass formulas divide by
+the imaginary parts.
 
 A cluster of estimates that fails the integrity certificates is resolved by
 the ladder that complex_roots describes.
@@ -51,10 +52,6 @@ _MAX_SWEEPS = 200
 _ZOOM_GROUP_RADIUS = 0.02
 # the zoom centre is a multiple of 2^-_ZOOM_BITS
 _ZOOM_BITS = 24
-# Aberth records its iterate lists for the repeat test only from the first
-# sweep that moves no estimate by more than this: walks still moving faster
-# were never seen to repeat, and recording them costs time
-_REPEAT_WATCH = 1e-10
 
 
 def _debug(logger, msg, *args):
@@ -127,18 +124,20 @@ def _aberth(coeffs, max_iter):
     A sweep is a deterministic function of the iterate list, so once the list
     after some sweep repeats the list after an earlier one bit for bit, every
     later sweep replays that cycle and none of them can meet the movement
-    test (R. P. Brent, BIT 20, 1980).  The walk then stops at the first
-    repeat and returns the list of the cycle that sweep max_iter would leave:
-    the same bits as running the remaining sweeps.
+    test.  Brent's cycle test finds the repeat from the first sweep, with no
+    threshold: it saves the list whenever the sweep count doubles and
+    compares each later list with it (R. P. Brent, BIT 20, 1980).  The walk
+    then stops at the sweep of the cycle that leaves the list sweep max_iter
+    would: the same bits as running the remaining sweeps.
     """
     n = len(coeffs) - 1
     deriv = _derivative(coeffs)
     radius = _root_magnitude_bound(coeffs)
     # fixed phase offset so the start is never conjugation-symmetric
     xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
-    # the lists after sweeps first, first + 1, ..., once one has moved no
-    # more than _REPEAT_WATCH; seen maps a list (under ==) to its position
-    first, trail, seen = None, [], {}
+    # Brent's test: saved is the list of sweep saved_at, renewed at sweeps
+    # 0, 1, 2, 4, 8, ... (counted from 0); stop is the last sweep to run
+    saved, saved_at, stop = None, 0, max_iter - 1
     # p and p' by Horner, written out in one loop over the pairs (c, c') of
     # coeffs and deriv, then p's last coefficient: p and p' each see the
     # operations of _horner, in its order.  The repulsion sum reads xs in
@@ -180,21 +179,16 @@ def _aberth(coeffs, max_iter):
         if moved <= 1e-14:
             _debug(__name__, "aberth converged in %d iterations", it + 1)
             break
-        if first is None:
-            if not moved <= _REPEAT_WATCH:
-                continue
-            first = it
-        state = tuple(xs)
-        j = seen.get(state)
-        if j is not None and _same_bits(state, trail[j]):
-            # positions j and it - first hold the same list: sweep max_iter
-            # leaves the list at position j + (max_iter - 1 - first - j) mod period
-            period = it - first - j
-            _debug(__name__, "aberth repeats with period %d from iteration %d",
-                   period, first + j + 1)
-            return list(trail[j + (max_iter - 1 - first - j) % period])
-        seen[state] = len(trail)
-        trail.append(state)
+        if xs == saved and _same_bits(xs, saved):
+            # sweeps saved_at and it leave the same list: sweep max_iter - 1
+            # leaves the list of sweep stop, a whole number of periods past it
+            period = it - saved_at
+            stop = it + (max_iter - 1 - it) % period
+            _debug(__name__, "aberth repeats with period %d at iteration %d", period, it + 1)
+        if it == stop:
+            break
+        if not it & (it - 1):
+            saved, saved_at = xs[:], it
     return xs
 
 

@@ -458,8 +458,14 @@ class TestExactNewton:
 
 
 # exact-centroid corpus form (perfbench, seed 1, #3): its Aberth walk repeats
-# with period 12 from sweep 28, so the repeat is found at sweep 40
+# with period 12 from sweep 28; Brent's test, with the list of sweep 33
+# saved, finds the repeat at sweep 45
 CYCLING = (590053, -361582, 83090, -8486, 325)
+# exact-centroid corpus form (perfbench, seed 1, #93): its walk repeats with
+# period 6 from sweep 37, and every sweep of the cycle moves an estimate by
+# more than 1e-10, so a repeat test that waits for slower movement runs all
+# 200 sweeps; Brent's test, with the list of sweep 65 saved, finds it at sweep 71
+LATE_WATCH = (1125, 42540, 603229, 3801832, 8985524)
 
 
 def aberth_records(caplog):
@@ -467,21 +473,33 @@ def aberth_records(caplog):
 
 
 class TestAberthRepeat:
-    """The sweep stops at its first exact repeat with the bits of max_iter sweeps."""
+    """The sweep stops once Brent's test finds an exact repeat, with the bits of
+    max_iter sweeps."""
 
     def test_repeat_is_logged(self, caplog):
         caplog.set_level(logging.DEBUG, logger="formred.roots")
         _aberth(list(map(float, CYCLING)), 200)
         assert [r.getMessage() for r in aberth_records(caplog)] == [
-            "aberth repeats with period 12 from iteration 28"]
+            "aberth repeats with period 12 at iteration 45"]
 
     def test_every_max_iter_around_the_repeat(self, caplog):
+        # from two sweeps before the sweep that finds the repeat to two periods after it
         coeffs = list(map(float, CYCLING))
         caplog.set_level(logging.DEBUG, logger="formred.roots")
         _aberth(coeffs, 200)
-        period, start = aberth_records(caplog)[0].args
-        found = start + period
+        period, found = aberth_records(caplog)[0].args
         for max_iter in range(found - 2, found + 2 * period + 1):
+            assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+                reference_aberth(coeffs, max_iter)), max_iter
+
+    def test_repeat_while_still_moving(self, caplog):
+        coeffs = list(map(float, LATE_WATCH))
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        xs = _aberth(coeffs, 200)
+        assert [r.getMessage() for r in aberth_records(caplog)] == [
+            "aberth repeats with period 6 at iteration 71"]
+        assert exact_bits(xs) == exact_bits(reference_aberth(coeffs, 200))
+        for max_iter in range(69, 71 + 2 * 6 + 1):
             assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
                 reference_aberth(coeffs, max_iter)), max_iter
 
