@@ -24,7 +24,8 @@ iterate scaled by a common 2^e, Horner runs on Python ints alone; each part is
 rounded once at the end by int / int, which is correctly rounded, so the value
 equals the float of the exact rational value bit for bit.  An exact Newton
 step takes p and p' from one such pass, which carries p' along as
-P' <- P' X + P on p's own scaled coefficients.  The zoom re-solve recentres
+P' <- P' X + P on p's own scaled coefficients; the residual certificate's
+pass carries p alone.  The zoom re-solve recentres
 on a dyadic point and scales by a power of two with transform's exact change
 of variables (forms._substitute), on ints too.
 """
@@ -119,7 +120,9 @@ def _same_bits(xs, ys):
 def _aberth(coeffs, max_iter):
     """The Aberth-Ehrlich iterates of coeffs (descending floats) after max_iter
     sweeps, or after the first sweep that moves no estimate by more than 1e-14
-    (relative).
+    (relative).  Only that yes or no is read, so a sweep stops measuring at
+    the first estimate that moves further (or takes the zero-derivative
+    offset); a NaN movement counts as none.
 
     A sweep is a deterministic function of the iterate list, so once the list
     after some sweep repeats the list after an earlier one bit for bit, every
@@ -150,7 +153,7 @@ def _aberth(coeffs, max_iter):
     pairs, last = list(zip(coeffs, deriv)), coeffs[-1]
     others = [[j for j in range(n) if j != i] for i in range(n)]
     for it in range(max_iter):
-        moved = 0.0
+        still = True
         for i in range(n):
             xi = xs[i]
             p = dp = 0j
@@ -160,7 +163,7 @@ def _aberth(coeffs, max_iter):
             p = p * xi + last
             if dp == 0:
                 xs[i] = xi + (1e-8 + 1e-8j) * (1.0 + abs(xi))
-                moved = math.inf
+                still = False
                 continue
             newton = p / dp
             s = 0j
@@ -173,10 +176,9 @@ def _aberth(coeffs, max_iter):
             denom = 1.0 - newton * s
             step = newton if denom == 0 else newton / denom
             xi = xs[i] = xi - step
-            rel = abs(step) / (1.0 + abs(xi))
-            if rel > moved:
-                moved = rel
-        if moved <= 1e-14:
+            if still and abs(step) / (1.0 + abs(xi)) > 1e-14:
+                still = False
+        if still:
             _debug(__name__, "aberth converged in %d iterations", it + 1)
             break
         if xs == saved and _same_bits(xs, saved):
@@ -193,6 +195,13 @@ def _aberth(coeffs, max_iter):
 
 
 def _newton_polish(coeffs, deriv, x):
+    """The iterate of least |p| among x and up to 24 float Newton steps from
+    it.  The steps stop at a zero p', or at an iterate within 1e-15
+    (relative) of the best one whose |p| is no lower than the best's: the
+    new best itself passes that test, so the first step that lowers |p| is
+    the last.  Most calls take that one step, so p and p' stay separate
+    Horner passes: one fused pass per iterate would also evaluate p' at the
+    last iterate, where nothing reads it."""
     px = _horner(coeffs, x)
     best, best_p = x, abs(px)
     for _ in range(24):
@@ -283,6 +292,21 @@ def _exact_value_and_slope(poly, dyadic):
     dscale = poly.den << (shift - e)
     scale = dscale << e
     return complex(pr / scale, pi / scale), complex(dr / dscale, di / dscale)
+
+
+def _exact_value(poly, dyadic):
+    """p at the dyadic point (A + iB) / 2^e, each part the correctly rounded
+    float: _exact_value_and_slope's pass without P', for the certificate,
+    which reads no slope."""
+    A, B, e = dyadic
+    ints = poly.ints
+    pr, pi = ints[0], 0
+    shift = 0
+    for c in ints[1:]:
+        shift += e
+        pr, pi = pr * A - pi * B + (c << shift), pr * B + pi * A
+    scale = poly.den << shift
+    return complex(pr / scale, pi / scale)
 
 
 def _exact_newton_polish(poly, x, multiplicity):
@@ -458,13 +482,14 @@ def _certify(F, poly, roots):
     """Raise ConvergenceFailure unless the roots pass the power-sum and the
     exact-residual certificates of F (poly: F as an _IntegerPoly).  The
     residual of a root r is |p(r)| / (height * (1 + |r|)^n), with the
-    numerator evaluated exactly."""
+    numerator evaluated exactly by _exact_value: one integer Horner pass for
+    p alone."""
     defect = _power_sum_defect(F, roots)
     if defect > 1e-8:
         raise ConvergenceFailure(f"root multiset fails the power-sum certificate ({defect:.3e})")
     h, n = max(abs(c) for c in poly.ints) / poly.den, len(poly.ints) - 1
     for r in roots:
-        rel = abs(_exact_value_and_slope(poly, _dyadic(r))[0]) / (h * (1.0 + abs(r)) ** n)
+        rel = abs(_exact_value(poly, _dyadic(r))) / (h * (1.0 + abs(r)) ** n)
         if not rel <= _RESIDUAL_TOL:
             raise ConvergenceFailure(
                 f"root residual {rel:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}")
@@ -620,6 +645,32 @@ def root_set(F):
     return RootSet(F, roots, pair_conjugates(roots), _float_residual(F, roots))
 
 
+def _nearest_rational(n, d):
+    """Fraction(n, d).limit_denominator(10**6) for n/d in lowest terms (d > 0),
+    on ints alone: the continued-fraction convergents of n/d up to denominator
+    10^6, then the nearer to n/d of the last convergent p1/q1 and the
+    semiconvergent past it, p1/q1 on a tie (as Fraction does on every
+    release).  The two lie on either side of n/d, 1 / (q1 q) apart (q the
+    semiconvergent's denominator), and p1/q1 is r / (q1 d) from n/d, r the
+    last remainder; so p1/q1 is nearer or tied when 2 r q <= d."""
+    if d <= 10**6:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, r = n, d
+    while True:
+        a = num // r
+        q2 = q0 + a * q1
+        if q2 > 10**6:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, r = r, num - a * r
+    k = (10**6 - q0) // q1
+    q = q0 + k * q1
+    if 2 * r * q <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q)
+
+
 def _rationalize(F, factors):
     """Round float factors to the nearest rationals of denominator at most
     10^6; keep them only if the product reproduces F exactly.
@@ -632,8 +683,8 @@ def _rationalize(F, factors):
     for f in factors:
         try:
             candidates.append(RealQuadraticFactor(
-                Fraction(f.a).limit_denominator(10**6),
-                Fraction(f.b).limit_denominator(10**6),
+                _nearest_rational(*f.a.as_integer_ratio()),
+                _nearest_rational(*f.b.as_integer_ratio()),
             ))
         except (RealRootDetected, ValueError):
             return None

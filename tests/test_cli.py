@@ -519,7 +519,7 @@ class TestBatch:
 # X^2 + Z^2 under (75025 46368; 46368 28657) and under a smaller Fibonacci
 # matrix: totally complex, but their float roots land within the realness
 # threshold of the axis (exit 2) or fail the power-sum certificate (exit 3)
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: ill-conditioned quadratics")
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 7 and 9: ill-conditioned quadratics")
 @pytest.mark.parametrize("coeffs", ["7778742049,9615053952,2971215073",
                                     "165580141,204668310,63245986"])
 def test_ill_conditioned_quadratic_reduces_to_the_unit_form(capsys, coeffs):

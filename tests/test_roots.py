@@ -2,10 +2,11 @@ import cmath
 import logging
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     SEXTIC_COEFFS,
@@ -35,8 +36,10 @@ from formred.roots import (
     _aberth,
     _dyadic,
     _exact_newton_polish,
+    _exact_value,
     _exact_value_and_slope,
     _IntegerPoly,
+    _nearest_rational,
     _newton_polish,
     _rationalize,
     _root_magnitude_bound,
@@ -260,6 +263,15 @@ class TestExactEvaluation:
         want = complex(*fraction_horner(derivative(F), Fraction(re), Fraction(im)))
         assert bits(dp) == bits(want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(forms, parts, parts)
+    def test_value_alone_matches_the_one_pass_and_fractions(self, F, re, im):
+        # the residual certificate's pass for p alone
+        poly, dyadic = _IntegerPoly.of_form(F), _dyadic(complex(re, im))
+        got = _exact_value(poly, dyadic)
+        assert exact_bits([got]) == exact_bits([_exact_value_and_slope(poly, dyadic)[0]])
+        assert bits(got) == bits(complex(*fraction_horner(F.coeffs, Fraction(re), Fraction(im))))
+
     @given(forms)
     def test_integer_poly_is_exact(self, F):
         poly = _IntegerPoly.of_form(F)
@@ -402,6 +414,17 @@ class TestAberthSweep:
         assert exact_bits(_aberth(coeffs, 157)[2:3]) == exact_bits(
             [x + (1e-8 + 1e-8j) * (1.0 + abs(x))])
 
+    def test_nan_movement_counts_as_none(self, caplog):
+        # x^2 + 10^308 overflows at the start circle: every estimate turns NaN
+        # in sweep 1, which then moves nothing, as the reference's max reads it
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        coeffs = float_coeffs(BinaryForm(FLOAT_RANGE_FORMS[0]))
+        xs = _aberth(coeffs, 200)
+        assert all(math.isnan(x.real) for x in xs)
+        assert exact_bits(xs) == exact_bits(reference_aberth(coeffs, 200))
+        assert [r.getMessage() for r in aberth_records(caplog)] == [
+            "aberth converged in 1 iterations"]
+
     def test_zero_difference_is_the_only_division_error(self):
         # the sweep catches ZeroDivisionError where the reference tests diff == 0
         for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
@@ -505,13 +528,20 @@ class TestAberthRepeat:
 
     def test_gated_corpora_calls_match_reference(self, monkeypatch, capsys):
         calls, aberth = [], formred.roots._aberth
+        polish_calls, newton_polish = [], formred.roots._newton_polish
 
         def recording(coeffs, max_iter):
             xs = aberth(coeffs, max_iter)
             calls.append((list(coeffs), max_iter, exact_bits(xs)))
             return xs
 
+        def recording_polish(coeffs, deriv, x):
+            best = newton_polish(coeffs, deriv, x)
+            polish_calls.append((list(coeffs), list(deriv), x, exact_bits([best])))
+            return best
+
         monkeypatch.setattr(formred.roots, "_aberth", recording)
+        monkeypatch.setattr(formred.roots, "_newton_polish", recording_polish)
         for coeffs in corpora.generate("accept-both", 1, 100):
             formred.compare_methods(BinaryForm(coeffs))
         for coeffs in corpora.generate("exact-centroid", 1, 100):
@@ -521,6 +551,9 @@ class TestAberthRepeat:
         assert len(calls) > 200
         for coeffs, max_iter, got in calls:
             assert got == exact_bits(reference_aberth(coeffs, max_iter))
+        assert len(polish_calls) > 1000
+        for coeffs, deriv, x, got in polish_calls:
+            assert got == exact_bits([reference_newton_polish(coeffs, deriv, x)])
 
     def test_signed_zero_is_not_a_repeat(self):
         state = (complex(0.0, 1.0), complex(2.0, -0.0))
@@ -553,6 +586,15 @@ FLOAT_RANGE_FORMS = [
 ]
 
 
+# a quadratic walk started on a circle of radius OVERFLOW_RADIUS, in place of
+# the magnitude bound's: sweep 1 moves estimate 0 and then gives estimate 1 a
+# step, built to nearly cancel Aberth's denominator, with finite parts and a
+# modulus beyond the float range
+OVERFLOW_STEP = tuple(map(float.fromhex, (
+    "0x1.0000000000000p-1000", "-0x1.bbd36bf3b6cfap-12", "-0x1.9d294e3631d88p+976")))
+OVERFLOW_RADIUS = float.fromhex("0x1.87706b0213d0ap+986")
+
+
 class TestFloatRange:
     @pytest.mark.parametrize("coeffs", [(10**400, 0, 10**400), (1, 0, 10**320),
                                         (10**400, 0, 2 * 10**400, 0, 10**400)])
@@ -564,6 +606,25 @@ class TestFloatRange:
     def test_solve_out_of_float_range_is_a_convergence_failure(self, coeffs):
         with pytest.raises(ConvergenceFailure, match="leaves the float range$"):
             root_set(BinaryForm(coeffs))
+
+    def test_unmeasured_step_beyond_the_float_range(self, monkeypatch):
+        # the reference measures every step, so abs() raises at estimate 1's;
+        # the sweep, with estimate 0 already moved, does not measure it, and
+        # the solve still fails as leaving the float range (at a NaN iterate)
+        def start(coeffs):
+            return OVERFLOW_RADIUS
+
+        monkeypatch.setattr(formred.roots, "_root_magnitude_bound", start)
+        monkeypatch.setitem(reference_aberth.__globals__, "_root_magnitude_bound", start)
+        coeffs = list(OVERFLOW_STEP)
+        with pytest.raises(OverflowError):
+            reference_aberth(coeffs, 1)
+        x = _aberth(coeffs, 1)[1]
+        assert math.isfinite(x.real) and math.isfinite(x.imag)
+        with pytest.raises(OverflowError):
+            abs(x)
+        with pytest.raises(ConvergenceFailure, match="leaves the float range$"):
+            complex_roots(BinaryForm(tuple(map(Fraction, OVERFLOW_STEP))))
 
 
 def reference_rationalize(F, factors, max_denominator=10**6):
@@ -612,6 +673,56 @@ class TestRationalize:
         assert [(f.a, f.b) for f in _rationalize(F, floats)] == list(SEXTIC_FACTORS)
         wrong = floats[:2] + [RealQuadraticFactor(-8.0, 65.5)]
         assert _rationalize(F, wrong) is None is reference_rationalize(F, wrong)
+
+
+def farey_neighbour(p, q, bound=10**6):
+    """The next fraction after p/q (lowest terms, 1 < q <= bound) among those
+    of denominator at most bound: r/s with r q - p s = 1 and s the largest."""
+    s = -pow(p, -1, q) % q
+    s += (bound - s) // q * q
+    return Fraction((1 + p * s) // q, s)
+
+
+class TestNearestRational:
+    """The continued fraction on ints gives Fraction.limit_denominator(10**6)'s
+    Fraction, whatever its input."""
+
+    @staticmethod
+    def assert_as_limit_denominator(n, d):
+        got, want = _nearest_rational(n, d), Fraction(n, d).limit_denominator(10**6)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3),
+        st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-1074, -1000)),
+        st.builds(float, st.integers(-2**80, 2**80)),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         sys.float_info.max, -sys.float_info.max, 1e-6, 999999.5, 0.5]),
+    ))
+    def test_floats(self, x):
+        # as _rationalize calls it
+        self.assert_as_limit_denominator(*x.as_integer_ratio())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**15, 10**15), st.sampled_from([10**6 - 1, 10**6, 10**6 + 1]))
+    def test_denominators_at_the_bound(self, n, d):
+        assume(math.gcd(n, d) == 1)
+        self.assert_as_limit_denominator(n, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10**6), st.integers(-10**7, 10**7))
+    def test_exact_ties(self, q, p):
+        # the midpoint of two Farey neighbours of order 10^6 is as near to
+        # one as to the other: the tie rule picks the last convergent
+        assume(math.gcd(p, q) == 1)
+        y = Fraction(p, q)
+        z = farey_neighbour(p, q)
+        m = (y + z) / 2
+        assert m.denominator > 10**6 and abs(m - y) == abs(z - m)
+        self.assert_as_limit_denominator(m.numerator, m.denominator)
 
 
 def expand(parts):

@@ -161,7 +161,7 @@ def test_full_accept_both_corpus_meets_the_truth():
 FALSE_TIES = {63: (1, -2, 5, -4, 4), 564: (1, -2, 11, -10, 16)}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: false ties at Re z = 1/2")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: false ties at Re z = 1/2")
 @pytest.mark.parametrize("index", sorted(FALSE_TIES))
 def test_false_tie_reduces_to_the_canonical_form(index):
     F = formred.BinaryForm(corpora.generate("accept-both", 1, index + 1)[index])
