@@ -8,11 +8,14 @@ stops when a sweep moves no estimate by more than 1e-14 (relative), after 200
 sweeps, or, once its float iterates repeat an earlier sweep's bit for bit, at
 the sweep that leaves sweep 200's iterates: from the repeat on it only replays
 a cycle.  Brent's cycle test finds the repeat from the first sweep, with no
-threshold.  Estimates closer than the clustering radius are merged to their
-mean and polished by exact Newton steps x -= m p/p', m the number merged,
-which recovers accuracy for multiple roots.  Forms with a numerically real
-root are rejected loudly: the downstream center-of-mass formulas divide by
-the imaginary parts.
+threshold.  The sweeps run as a straight-line walk generated and compiled
+once per degree (_walk): the estimates are locals and every Horner pass and
+repulsion sum is written out, in the operations and the order of a plain
+sweep over the list of estimates, whose bits it gives.  Estimates closer
+than the clustering radius are merged to their mean and polished by exact
+Newton steps x -= m p/p', m the number merged, which recovers accuracy for
+multiple roots.  Forms with a numerically real root are rejected loudly: the
+downstream center-of-mass formulas divide by the imaginary parts.
 
 A cluster of estimates that fails the integrity certificates is resolved by
 the ladder that complex_roots describes.
@@ -31,6 +34,7 @@ of variables (forms._substitute), on ints too.
 """
 
 import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -132,52 +136,46 @@ def _aberth(coeffs, max_iter):
     compares each later list with it (R. P. Brent, BIT 20, 1980).  The walk
     then stops at the sweep of the cycle that leaves the list sweep max_iter
     would: the same bits as running the remaining sweeps.
+
+    The sweeps run in the straight-line walk _walk(n) generates for the
+    degree n, built once per degree: each estimate a local, each p and p' a
+    written-out Horner expression and each repulsion sum a written-out
+    chain, in the operations and the order of a plain sweep over the list.
     """
     n = len(coeffs) - 1
-    deriv = _derivative(coeffs)
     radius = _root_magnitude_bound(coeffs)
     # fixed phase offset so the start is never conjugation-symmetric
     xs = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / n + 0.4)) for k in range(n)]
+    return _walk(n)(coeffs, _derivative(coeffs), xs, max_iter)
+
+
+def _repulsion(xi, others):
+    """The repulsion sum of estimate xi, term by term over the other estimates
+    in order: the walk's sum once one of its terms divides by zero, where
+    coincident estimates take a tiny offset instead of the pole."""
+    s = 0j
+    for xj in others:
+        try:
+            s += 1.0 / (xi - xj)
+        except ZeroDivisionError:
+            s += 1.0 / ((1e-12 + 1e-12j) * (1.0 + abs(xi)))
+    return s
+
+
+# the walk's source for degree n: {coeffs}, {deriv} and {xs} are lists of
+# names, {roots} the sweep's blocks (_ROOT), one per estimate in order
+_WALK = """\
+def walk(coeffs, deriv, xs, max_iter):
+    [{coeffs}] = coeffs
+    [{deriv}] = deriv
+    [{xs}] = xs
     # Brent's test: saved is the list of sweep saved_at, renewed at sweeps
     # 0, 1, 2, 4, 8, ... (counted from 0); stop is the last sweep to run
     saved, saved_at, stop = None, 0, max_iter - 1
-    # p and p' by Horner, written out in one loop over the pairs (c, c') of
-    # coeffs and deriv, then p's last coefficient: p and p' each see the
-    # operations of _horner, in its order.  The repulsion sum reads xs in
-    # place through others[i], the indices j != i in order: at these degrees
-    # a call per evaluation, or a copy of xs per root, costs more than its
-    # loop.  1.0 / (xi - xs[j]) and 1.0 - newton * s keep a float left
-    # operand, as the reference sweep in the tests does: since Python 3.14 a
-    # float mixes with a complex as a real number (gh-69639), so (1 + 0j) / z
-    # can differ from 1.0 / z in the sign of a zero part
-    pairs, last = list(zip(coeffs, deriv)), coeffs[-1]
-    others = [[j for j in range(n) if j != i] for i in range(n)]
     for it in range(max_iter):
         still = True
-        for i in range(n):
-            xi = xs[i]
-            p = dp = 0j
-            for c, d in pairs:
-                p = p * xi + c
-                dp = dp * xi + d
-            p = p * xi + last
-            if dp == 0:
-                xs[i] = xi + (1e-8 + 1e-8j) * (1.0 + abs(xi))
-                still = False
-                continue
-            newton = p / dp
-            s = 0j
-            for j in others[i]:
-                try:
-                    s += 1.0 / (xi - xs[j])
-                except ZeroDivisionError:
-                    # coincident estimates: a tiny offset instead of the pole
-                    s += 1.0 / ((1e-12 + 1e-12j) * (1.0 + abs(xi)))
-            denom = 1.0 - newton * s
-            step = newton if denom == 0 else newton / denom
-            xi = xs[i] = xi - step
-            if still and abs(step) / (1.0 + abs(xi)) > 1e-14:
-                still = False
+{roots}
+        xs = [{xs}]
         if still:
             _debug(__name__, "aberth converged in %d iterations", it + 1)
             break
@@ -190,8 +188,76 @@ def _aberth(coeffs, max_iter):
         if it == stop:
             break
         if not it & (it - 1):
-            saved, saved_at = xs[:], it
+            saved, saved_at = xs, it
     return xs
+"""
+# estimate {x} in a sweep: the estimates before it already hold this sweep's
+# values.  {p}, {dp} and {s} are lines at the indent of the line they replace
+_ROOT = """\
+        {p}
+        {dp}
+        if dp == 0:
+            {x} = {x} + (1e-8 + 1e-8j) * (1.0 + abs({x}))
+            still = False
+        else:
+            newton = p / dp
+            # 1.0 / (...) and 1.0 - newton * s keep a float left operand, as
+            # the reference sweep in the tests does: since Python 3.14 a
+            # float mixes with a complex as a real number (gh-69639), so
+            # (1 + 0j) / z can differ from 1.0 / z in the sign of a zero part
+            try:
+                {s}
+            except ZeroDivisionError:
+                s = _repulsion({x}, [{others}])
+            denom = 1.0 - newton * s
+            step = newton if denom == 0 else newton / denom
+            {x} = {x} - step
+            if still and abs(step) / (1.0 + abs({x})) > 1e-14:
+                still = False"""
+# the most steps one generated line chains: a line per step would cost a store
+# and a load per step, and a whole chain in one line nests past the parser's
+# limits at high degree
+_CHAIN = 32
+
+
+def _chain(target, start, steps, indent):
+    """Lines that set target to start with the steps applied in order, each
+    step a template whose %s is the value so far; at most _CHAIN steps a
+    line, each later line going on from target."""
+    lines, value = [], start
+    for k in range(0, len(steps), _CHAIN):
+        for step in steps[k:k + _CHAIN]:
+            value = step % value
+        lines.append(f"{target} = {value}")
+        value = target
+    return ("\n" + " " * indent).join(lines or [f"{target} = {start}"])
+
+
+@functools.cache
+def _walk(n):
+    """_aberth's sweeps for degree n as one generated function walk(coeffs,
+    deriv, xs, max_iter), compiled once in this module's globals, so that
+    _debug, _same_bits and _repulsion are looked up at call time.  Only n
+    shapes the source.  p and p' run Horner from 0j on the coefficients
+    passed in; the repulsion sum of estimate i chains 0j + 1.0 / (xi - xj)
+    over j != i in order."""
+    cs = [f"c{k}" for k in range(n + 1)]
+    ds = [f"d{k}" for k in range(n)]
+    xs = [f"x{k}" for k in range(n)]
+    roots = []
+    for i, x in enumerate(xs):
+        others = xs[:i] + xs[i + 1:]
+        roots.append(_ROOT.format(
+            x=x, others=", ".join(others),
+            p=_chain("p", "0j", [f"(%s) * {x} + {c}" for c in cs], 8),
+            dp=_chain("dp", "0j", [f"(%s) * {x} + {d}" for d in ds], 8),
+            s=_chain("s", "0j", [f"%s + 1.0 / ({x} - {y})" for y in others], 16)))
+    source = _WALK.format(coeffs=", ".join(cs), deriv=", ".join(ds), xs=", ".join(xs),
+                          roots="\n".join(roots))
+    namespace = {}
+    exec(compile(source, f"<formred.roots: aberth walk, degree {n}>", "exec"),
+         globals(), namespace)
+    return namespace["walk"]
 
 
 def _newton_polish(coeffs, deriv, x):

@@ -390,8 +390,12 @@ class TestAberthSweep:
                  BinaryForm((1, -2, 2, -2, 1)),  # (X - Z)^2 (X^2 + Z^2)
                  BinaryForm((1, 0, 4, 0, 6, 0, 4, 0, 1)),  # (X^2 + Z^2)^4
                  BinaryForm((Fraction(3, 7), Fraction(-1, 2), 5, Fraction(2, 9)))]
-        for degree in range(2, 21, 2):
-            F, _ = random_totally_complex_form(rng, degree, coeff_bound=10**12)
+        # up to the high degrees of the hard-input sets (height cap 10^40,
+        # scramble bound 20): degree 40's walk spreads each Horner pass and
+        # each repulsion sum over two generated lines
+        for degree in [*range(2, 21, 2), 24, 32, 40]:
+            F, _ = random_totally_complex_form(
+                rng, degree, coeff_bound=10**12 if degree <= 20 else 10**40)
             cases.append(transform(F, random_unimodular(rng, bound=20)))
         for F in cases:
             coeffs = float_coeffs(F)
@@ -424,6 +428,40 @@ class TestAberthSweep:
         assert exact_bits(xs) == exact_bits(reference_aberth(coeffs, 200))
         assert [r.getMessage() for r in aberth_records(caplog)] == [
             "aberth converged in 1 iterations"]
+
+    @pytest.mark.parametrize("coeffs", [SEXTIC_COEFFS, (1, -2, 2, -2, 1),
+                                        (1, 0, 4, 0, 6, 0, 4, 0, 1), (2, -3, 0, 1, 4, -1)])
+    def test_coincident_estimates_match_reference(self, monkeypatch, coeffs):
+        # every estimate starts at 0, so a repulsion sum of sweep 1 or 2
+        # divides by zero and takes the offset in place of the pole
+        def start(coeffs):
+            return 0.0
+
+        monkeypatch.setattr(formred.roots, "_root_magnitude_bound", start)
+        monkeypatch.setitem(reference_aberth.__globals__, "_root_magnitude_bound", start)
+        coeffs = float_coeffs(BinaryForm(coeffs))
+        assert len(set(_aberth(coeffs, 0))) == 1
+        for max_iter in (1, 2, 7, 200):
+            assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+                reference_aberth(coeffs, max_iter)), max_iter
+
+    def test_coincident_estimates_reach_the_term_by_term_sum(self, monkeypatch):
+        # the walk looks _repulsion up at call time, once a chain divides by zero
+        calls, repulsion = [], formred.roots._repulsion
+
+        def counting(xi, others):
+            calls.append(len(others))
+            return repulsion(xi, others)
+
+        monkeypatch.setattr(formred.roots, "_root_magnitude_bound", lambda coeffs: 0.0)
+        monkeypatch.setattr(formred.roots, "_repulsion", counting)
+        _aberth(float_coeffs(BinaryForm(SEXTIC_COEFFS)), 2)
+        assert calls and set(calls) == {5}
+
+    def test_walk_is_built_once_per_degree_and_named(self):
+        walk = formred.roots._walk(8)
+        assert formred.roots._walk(8) is walk
+        assert walk.__code__.co_filename == "<formred.roots: aberth walk, degree 8>"
 
     def test_zero_difference_is_the_only_division_error(self):
         # the sweep catches ZeroDivisionError where the reference tests diff == 0
