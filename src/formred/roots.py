@@ -10,8 +10,10 @@ the sweep that leaves sweep 200's iterates: from the repeat on it only replays
 a cycle.  Brent's cycle test finds the repeat from the first sweep, with no
 threshold.  The sweeps run as a straight-line walk generated and compiled
 once per degree (_walk): the estimates are locals and every Horner pass and
-repulsion sum is written out, in the operations and the order of a plain
-sweep over the list of estimates, whose bits it gives.  Estimates closer
+repulsion sum is written out.  It gives the bits of a plain sweep over the
+list of estimates that starts each Horner pass and each sum at 0j, but
+leaves out the steps on that zero: a Horner pass starts at its leading
+coefficient as a complex and a sum at its first term.  Estimates closer
 than the clustering radius are merged to their mean and polished by exact
 Newton steps x -= m p/p', m the number merged, which recovers accuracy for
 multiple roots.  Forms with a numerically real root are rejected loudly: the
@@ -140,7 +142,8 @@ def _aberth(coeffs, max_iter):
     The sweeps run in the straight-line walk _walk(n) generates for the
     degree n, built once per degree: each estimate a local, each p and p' a
     written-out Horner expression and each repulsion sum a written-out
-    chain, in the operations and the order of a plain sweep over the list.
+    chain, in the operations and the order of a plain sweep over the list,
+    less the steps on its 0j starts, which change no bit (see _walk).
     """
     n = len(coeffs) - 1
     radius = _root_magnitude_bound(coeffs)
@@ -169,6 +172,9 @@ def walk(coeffs, deriv, xs, max_iter):
     [{coeffs}] = coeffs
     [{deriv}] = deriv
     [{xs}] = xs
+    # each Horner chain starts at its leading coefficient as a complex: the
+    # value (0j) * x + c0 has for every finite x
+    c0, d0 = complex(c0), complex(d0)
     # Brent's test: saved is the list of sweep saved_at, renewed at sweeps
     # 0, 1, 2, 4, 8, ... (counted from 0); stop is the last sweep to run
     saved, saved_at, stop = None, 0, max_iter - 1
@@ -192,11 +198,13 @@ def walk(coeffs, deriv, xs, max_iter):
     return xs
 """
 # estimate {x} in a sweep: the estimates before it already hold this sweep's
-# values.  {p}, {dp} and {s} are lines at the indent of the line they replace
+# values.  {p}, {dp} and {s} are lines at the indent of the line they replace.
+# not dp and if denom are a plain sweep's dp == 0 and denom == 0 tests
+# without the comparison with an int: a complex is false only at 0
 _ROOT = """\
         {p}
         {dp}
-        if dp == 0:
+        if not dp:
             {x} = {x} + (1e-8 + 1e-8j) * (1.0 + abs({x}))
             still = False
         else:
@@ -210,7 +218,7 @@ _ROOT = """\
             except ZeroDivisionError:
                 s = _repulsion({x}, [{others}])
             denom = 1.0 - newton * s
-            step = newton if denom == 0 else newton / denom
+            step = newton / denom if denom else newton
             {x} = {x} - step
             if still and abs(step) / (1.0 + abs({x})) > 1e-14:
                 still = False"""
@@ -238,20 +246,32 @@ def _walk(n):
     """_aberth's sweeps for degree n as one generated function walk(coeffs,
     deriv, xs, max_iter), compiled once in this module's globals, so that
     _debug, _same_bits and _repulsion are looked up at call time.  Only n
-    shapes the source.  p and p' run Horner from 0j on the coefficients
-    passed in; the repulsion sum of estimate i chains 0j + 1.0 / (xi - xj)
-    over j != i in order."""
+    shapes the source.  p and p' run Horner on the coefficients passed in,
+    from the leading one as a complex; the repulsion sum of estimate i
+    chains 1.0 / (xi - xj) over j != i in order, from its first term.
+
+    Both give the bits of a plain sweep that starts at 0j.  Up to Python
+    3.13 a float operand of a complex operation is complex(c, 0.0), so for
+    finite x, (0j) * x + c0 is exactly complex(c0, 0.0); and 0j + t differs
+    from t only in the sign of a zero part, which 1.0 - newton * s turns
+    into the same denominator.  On 3.14, where a float mixes with a complex
+    as a real (gh-69639), a 0j start can leave a -0.0 part, which changes a
+    product only at an estimate with an exactly zero part, and the
+    denominator only at a newton with one; the tests run such walks against
+    the plain sweep."""
     cs = [f"c{k}" for k in range(n + 1)]
     ds = [f"d{k}" for k in range(n)]
     xs = [f"x{k}" for k in range(n)]
     roots = []
     for i, x in enumerate(xs):
         others = xs[:i] + xs[i + 1:]
+        # degree 1 has no other estimate: its sum is 0j
+        terms = [f"1.0 / ({x} - {y})" for y in others] or ["0j"]
         roots.append(_ROOT.format(
             x=x, others=", ".join(others),
-            p=_chain("p", "0j", [f"(%s) * {x} + {c}" for c in cs], 8),
-            dp=_chain("dp", "0j", [f"(%s) * {x} + {d}" for d in ds], 8),
-            s=_chain("s", "0j", [f"%s + 1.0 / ({x} - {y})" for y in others], 16)))
+            p=_chain("p", "c0", [f"(%s) * {x} + {c}" for c in cs[1:]], 8),
+            dp=_chain("dp", "d0", [f"(%s) * {x} + {d}" for d in ds[1:]], 8),
+            s=_chain("s", terms[0], [f"%s + {t}" for t in terms[1:]], 16)))
     source = _WALK.format(coeffs=", ".join(cs), deriv=", ".join(ds), xs=", ".join(xs),
                           roots="\n".join(roots))
     namespace = {}

@@ -445,6 +445,18 @@ class TestAberthSweep:
             assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
                 reference_aberth(coeffs, max_iter)), max_iter
 
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 5, 0, 4), (4, 0, 9)])
+    def test_estimates_on_the_imaginary_axis_match_reference(self, coeffs):
+        # X^2 + Z^2, (X^2 + Z^2)(X^2 + 4Z^2) and 4X^2 + 9Z^2: by sweep 7 their
+        # walks hold estimates whose real part is exactly +0.0, and their odd
+        # coefficients are 0, so a Horner chain could carry a zero's sign
+        coeffs = float_coeffs(BinaryForm(coeffs))
+        assert any(x.real == 0 and math.copysign(1.0, x.real) == 1.0
+                   for x in reference_aberth(coeffs, 7))
+        for max_iter in (1, 2, 7, 200):
+            assert exact_bits(_aberth(coeffs, max_iter)) == exact_bits(
+                reference_aberth(coeffs, max_iter)), max_iter
+
     def test_coincident_estimates_reach_the_term_by_term_sum(self, monkeypatch):
         # the walk looks _repulsion up at call time, once a chain divides by zero
         calls, repulsion = [], formred.roots._repulsion
@@ -462,6 +474,11 @@ class TestAberthSweep:
         walk = formred.roots._walk(8)
         assert formred.roots._walk(8) is walk
         assert walk.__code__.co_filename == "<formred.roots: aberth walk, degree 8>"
+        # each Horner chain starts at its leading coefficient and each sum at
+        # its first term: no step multiplies by or adds a complex zero, whose
+        # bits the tests above cannot tell from the step left out (the int 0
+        # that starts Brent's count is a constant too)
+        assert [c for c in walk.__code__.co_consts if type(c) is complex and c == 0] == []
 
     def test_zero_difference_is_the_only_division_error(self):
         # the sweep catches ZeroDivisionError where the reference tests diff == 0
