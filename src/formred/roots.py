@@ -19,8 +19,11 @@ Newton steps x -= m p/p', m the number merged, which recovers accuracy for
 multiple roots.  Forms with a numerically real root are rejected loudly: the
 downstream center-of-mass formulas divide by the imaginary parts.
 
-A cluster of estimates that fails the integrity certificates is resolved by
-the ladder that complex_roots describes.
+A large unimodular scramble packs the roots into clusters that double
+precision cannot resolve.  In the form's reduced frame, where the hyperbolic
+center of mass of its roots lies in the fundamental domain, they are well
+separated (Cremona-Stoll), so the ladder that complex_roots describes solves
+a form whose first solve leaves a defect in that frame (_frame_solve).
 
 Certification and the exact Newton steps evaluate the form exactly at each
 float iterate.  A float is dyadic, so with the form's denominators cleared once
@@ -30,9 +33,8 @@ rounded once at the end by int / int, which is correctly rounded, so the value
 equals the float of the exact rational value bit for bit.  An exact Newton
 step takes p and p' from one such pass, which carries p' along as
 P' <- P' X + P on p's own scaled coefficients; the residual certificate's
-pass carries p alone.  The zoom re-solve recentres
-on a dyadic point and scales by a power of two with transform's exact change
-of variables (forms._substitute), on ints too.
+pass carries p alone.  The frame is reached by transform's exact change of
+variables, on ints too.
 """
 
 import cmath
@@ -42,10 +44,12 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from .centroid import center_of_mass_h2
 from .errors import ConvergenceFailure, RealRootDetected, UnpairedRoot
-from .forms import (BinaryForm, RealQuadraticFactor, _integer_coeffs, _left_sum, _poly_mul,
-                    _primitive, _Record, _set, _substitute, primitive_integral_coeffs)
-from .hyperbolic import PointH2
+from .forms import (BinaryForm, RealQuadraticFactor, UnimodularMatrix, _integer_coeffs,
+                    _left_sum, _poly_mul, _primitive, _Record, _set, primitive_integral_coeffs,
+                    transform)
+from .hyperbolic import PointH2, reduce_point_to_fundamental_domain
 
 REALNESS_THRESHOLD = 1e-8
 # the exact-residual certificate: |F(r, 1)| / (height * (1 + |r|)^n) <= _RESIDUAL_TOL
@@ -55,10 +59,9 @@ _PAIR_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-7
 # the most Aberth sweeps of a solve
 _MAX_SWEEPS = 200
-# estimates this close (relative) are zoomed into as one cluster
-_ZOOM_GROUP_RADIUS = 0.02
-# the zoom centre is a multiple of 2^-_ZOOM_BITS
-_ZOOM_BITS = 24
+# the most rounds of the reduced frame, and the most sweeps of each round's solve
+_FRAME_ROUNDS = 8
+_FRAME_SWEEPS = 40
 
 
 def _debug(logger, msg, *args):
@@ -304,10 +307,11 @@ def _newton_polish(coeffs, deriv, x):
     return best
 
 
-def _float_solve(coeffs):
-    """The Aberth estimates of coeffs (descending floats), each polished by float Newton."""
+def _float_solve(coeffs, sweeps=_MAX_SWEEPS):
+    """The Aberth estimates of coeffs (descending floats) after at most
+    `sweeps` sweeps, each polished by float Newton."""
     deriv = _derivative(coeffs)
-    return [_newton_polish(coeffs, deriv, x) for x in _aberth(coeffs, _MAX_SWEEPS)]
+    return [_newton_polish(coeffs, deriv, x) for x in _aberth(coeffs, sweeps)]
 
 
 def _groups(roots, radius):
@@ -453,32 +457,32 @@ def _quality(F, roots):
     return max(conjugate, _power_sum_defect(F, roots))
 
 
-def _zoom_solve(poly, cluster):
-    """Re-solve after recentering on a tight root cluster.
-
-    A Moebius substitution can contract roots into clusters whose diameter is
-    far below the double-precision resolution of the original coefficients.
-    Shifting exactly to a dyadic center near the cluster and rescaling by a
-    dyadic power makes the cluster well conditioned; the whole root set is
-    re-solved in the new coordinates and refined back in the original ones.
-    """
-    center = _left_sum(cluster) / len(cluster)
-    diam = max(abs(r - center) for r in cluster)
-    if diam == 0:
+def _frame_solve(F, poly, xs):
+    """F's roots (poly: F as an _IntegerPoly) solved in its reduced frame, or
+    None when the estimates xs already lie in it.  From G = F, each round
+    moves the center of mass of the estimates folded into H (x + i|y|) into
+    the fundamental domain by M, as reduction moves a form's zero point, and
+    takes G <- G^M and G's float solve of at most _FRAME_SWEEPS sweeps, until
+    M is the identity or for _FRAME_ROUNDS moves.  The last estimates are
+    mapped back through the product (a b; c d) of the moves,
+    r <- (ar + b)/(cr + d), and refined on F."""
+    G, frame, rounds = F, UnimodularMatrix.identity(), 0
+    while rounds < _FRAME_ROUNDS:
+        # a numerically real estimate would pull the center onto the axis
+        folded = [PointH2(x.real, abs(x.imag)) for x in xs
+                  if abs(x.imag) > REALNESS_THRESHOLD * (1.0 + abs(x))]
+        if not folded:
+            break
+        _, M = reduce_point_to_fundamental_domain(center_of_mass_h2(folded))
+        if M == UnimodularMatrix.identity():
+            break
+        G, frame, rounds = transform(G, M), frame @ M, rounds + 1
+        xs = _float_solve(_float_coeffs(G), _FRAME_SWEEPS)
+    if not rounds:
         return None
-    k = round(center.real * 2**_ZOOM_BITS)
-    scale_exp = math.frexp(2.0 * diam)[1]
-    if scale_exp > 0:
-        return None
-    # F(2^24 X + k 2^m Z, 2^(24 + m) Z) on ints: den 2^((24 + m) n) p(k/2^24 + w/2^m)
-    m = -scale_exp
-    shifted = _substitute(poly.ints, 1 << _ZOOM_BITS, k << m, 0, 1 << (_ZOOM_BITS + m))
-    top = max(abs(c) for c in shifted)
-    ws = _float_solve([c / top for c in shifted])
-    x0f, sf = k / 2**_ZOOM_BITS, math.ldexp(1.0, scale_exp)
-    back = [x0f + sf * w for w in ws]
-    _debug(__name__, "zoom re-solve at %s with scale %s", x0f, sf)
-    return _refine(poly, back)
+    _debug(__name__, "reduced frame %s of %s after %d rounds", frame, F, rounds)
+    a, b, c, d = frame.a, frame.b, frame.c, frame.d
+    return _refine(poly, [(a * r + b) / (c * r + d) for r in xs])
 
 
 def complex_roots(F):
@@ -492,18 +496,17 @@ def complex_roots(F):
     fails where its float arithmetic overflows or divides by zero.  The first
     solve runs Aberth, float Newton on each estimate, the cluster merge, and
     exact Newton on each merged value with the cluster's size as its
-    multiplicity.  Then two cases.  With no cluster (a conjugate and power-sum
-    defect of 1e-12 or below, or no estimates grouped within the zoom radius)
-    its roots are returned as soon as they certify.  Otherwise, or when they
-    fail, F is tested once for a repeated factor (Yun's exact decomposition on
-    ints).  A form with one is split into its square-free parts P_i of
-    multiplicity i, each solved and paired on its own, its roots repeated i
-    times and certified on F.  A square-free form, or one whose split failed,
-    is zoomed into at each cluster of the first solve until the defect is
-    1e-12 or below, keeping each zoom that lowers it.  Those roots are
-    returned when they certify (and, after a failed split, pair); otherwise
-    the split's error is raised, or the certificate's when nothing was split.
-    A linear part is a real root.
+    multiplicity.  Then two cases.  With a conjugate and power-sum defect of
+    1e-12 or below its roots are returned as soon as they certify.
+    Otherwise, or when they fail, F is tested once for a repeated factor
+    (Yun's exact decomposition on ints).  A form with one is split into its
+    square-free parts P_i of multiplicity i, each solved and paired on its
+    own, its roots repeated i times and certified on F.  A square-free form,
+    or one whose split failed, is solved again in its reduced frame
+    (_frame_solve), and those roots replace the first solve's when their
+    defect is lower.  The roots are returned when they certify (and, after a
+    failed split, pair); otherwise the split's error is raised, or the
+    certificate's when nothing was split.  A linear part is a real root.
     """
     try:
         return _solve(F)
@@ -514,21 +517,18 @@ def complex_roots(F):
 def _solve(F):
     """complex_roots' ladder; square-free parts are solved here directly, so
     that only whole forms pass through complex_roots."""
-    coeffs = _float_coeffs(F)
     poly = _IntegerPoly.of_form(F)
-    xs = _refine(poly, _float_solve(coeffs))
+    xs = _refine(poly, _float_solve(_float_coeffs(F)))
     # clusters of nearby roots are exactly where double precision runs out
     quality = _quality(F, xs)
-    clusters = [] if quality <= 1e-12 else [
-        group for group in _groups(xs, _ZOOM_GROUP_RADIUS) if len(group) > 1]
-    if not clusters:
+    if quality <= 1e-12:
         try:
             return _certified(F, poly, xs)
         except ConvergenceFailure:
             pass
     # a repeated factor is split off exactly; a square-free form, or a failed
-    # split, zooms into each cluster and keeps the result when the integrity
-    # certificates improve
+    # split, is solved in its reduced frame, whose roots are kept when the
+    # integrity certificates improve
     parts, split_error = square_free_parts(F), None
     if not _square_free(parts):
         _debug(__name__, "square-free split of %s into multiplicities %s", F, [i for _, i in parts])
@@ -537,15 +537,14 @@ def _solve(F):
         except (ConvergenceFailure, UnpairedRoot) as exc:
             _debug(__name__, "failed split of %s: %s", F, exc)
             split_error = exc
-    for group in clusters:
-        if quality <= 1e-12:
-            break
-        zoomed = _zoom_solve(poly, group)
-        if zoomed is None:
-            continue
-        new_quality = _quality(F, zoomed)
-        if new_quality < quality:
-            xs, quality = zoomed, new_quality
+    if quality > 1e-12:
+        # a frame whose arithmetic fails leaves the first solve's verdict
+        try:
+            framed = _frame_solve(F, poly, xs)
+        except (ConvergenceFailure, ValueError, ArithmeticError):
+            framed = None
+        if framed is not None and _quality(F, framed) < quality:
+            xs = framed
     try:
         xs = _certified(F, poly, xs)
         if split_error is not None:

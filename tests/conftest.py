@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import formred.roots
 from formred.forms import (
     BinaryForm,
     RealQuadraticFactor,
@@ -37,6 +38,13 @@ _CORPORA_SPEC = importlib.util.spec_from_file_location(
     "perfbench_corpora", Path(__file__).resolve().parents[1] / "perfbench" / "corpora.py")
 corpora = importlib.util.module_from_spec(_CORPORA_SPEC)
 _CORPORA_SPEC.loader.exec_module(corpora)
+
+
+@pytest.fixture
+def no_frame(monkeypatch):
+    """The root ladder with a reduced frame that finds nothing: a form whose
+    first solve and split both fail raises the split's or the certificate's error."""
+    monkeypatch.setattr(formred.roots, "_frame_solve", lambda F, poly, xs: None)
 
 
 @pytest.fixture

@@ -5,11 +5,11 @@ fails.  These tests push the first 100 forms of each gated corpus, seeds 1 to
 3, through the same entry calls, so a solver change that adds failures fails
 here before it reaches the benchmark.  The `slow` tests do the same for the
 full corpora of a 50 s run, seeds 1 to 5 (about 2 min; `pytest -m slow`), and
-pin their bytes.  The ungated hard corpus is pinned too, in `slow`: the same
-forms reduce, to the same bytes.  A few single corpus forms pin the root
-solver's repeated-factor paths and its pairing failures.  perfbench/corpora.py
-is loaded from its file (see conftest); nothing under perfbench/ is imported
-as a package or changed.
+pin their bytes.  The ungated hard corpus is pinned too, in `slow`: every
+form reduces, to the same bytes.  A few single corpus forms pin the root
+solver's repeated-factor paths, its reduced frame and its pairing failures.
+perfbench/corpora.py is loaded from its file (see conftest); nothing under
+perfbench/ is imported as a package or changed.
 """
 
 import hashlib
@@ -101,30 +101,15 @@ def test_full_exact_centroid_cli_reduces_every_form(capsys, seed):
         [], FULL_DIGESTS["exact-centroid"][seed])
 
 
-# hard-scramble, 150 forms per seed (the corpus of a 50 s run), recorded while
-# the square-free split still ran on Fractions: the forms that reduce, and the
-# sha256 of one line per form in corpus order, the report's JSON or
-# "failure <class>", as perfbench digests a pass; seed 2 was re-recorded when
-# the float modified Newton (_multiple_root_polish) went from the cluster
-# polish, which made #106 reduce and changed no other line
+# hard-scramble, 150 forms per seed (the corpus of a 50 s run): the forms
+# that reduce, and the sha256 of one line per form in corpus order, the
+# report's JSON or "failure <class>", as perfbench digests a pass; recorded
+# when the reduced frame replaced the zoom (CHANGES.md names the lines that
+# moved)
 HARD_SCRAMBLE = {
-    1: ({
-        0, 1, 2, 4, 6, 7, 9, 12, 18, 24, 25, 30, 31, 33, 36, 40, 42, 43, 44, 45, 46, 48, 49,
-        54, 55, 60, 61, 70, 72, 74, 78, 85, 88, 91, 93, 96, 97, 104, 105, 112, 114, 115,
-        117, 120, 121, 123, 128, 129, 131, 132, 138, 139, 140, 141, 144, 145, 146, 147},
-        "4d6cfc9ed66def85765a1593155848ec9cf157648ce9e88b293dd3984589d1d8"),
-    2: ({
-        0, 1, 3, 4, 6, 7, 8, 12, 13, 18, 19, 20, 22, 24, 28, 30, 31, 32, 36, 37, 38, 40, 41,
-        42, 43, 44, 46, 49, 50, 52, 53, 58, 59, 60, 67, 71, 72, 73, 76, 78, 79, 81, 84, 85,
-        86, 89, 90, 96, 98, 102, 103, 106, 108, 109, 110, 114, 115, 118, 121, 126, 127, 128,
-        133, 134, 138, 139, 142, 143, 145, 147},
-        "985053c7770cb7904f63fd280bca4ee901b43df78bc199e082a2416aaa33835b"),
-    3: ({
-        3, 6, 7, 8, 12, 13, 14, 18, 19, 20, 23, 24, 30, 33, 34, 35, 36, 37, 40, 42, 43, 49,
-        50, 51, 54, 55, 57, 59, 60, 62, 66, 69, 71, 72, 78, 79, 80, 81, 82, 94, 96, 97, 99,
-        102, 103, 104, 105, 112, 114, 116, 117, 118, 121, 122, 127, 129, 133, 134, 136, 137,
-        138, 143, 144, 146, 147},
-        "21944d5d9897099948bcc70f1f0367c3f4da407d07d4e56af70f09bc0a81b01b"),
+    1: (set(range(150)), "468651d0dffbb9d5be9c6ffedd80938643a33b1758e7c156f918cbcb8b331616"),
+    2: (set(range(150)), "d0a3e3f93f7bac477ac6ba74d68d057caa8cfd5657ef3c57a7a767e4aa210198"),
+    3: (set(range(150)), "08f38023c2428de8aeb26dc3c12cee1becd8ad5ecb9571ea047d06cbcaff1cf7"),
 }
 
 
@@ -144,23 +129,11 @@ def test_hard_scramble_keeps_its_reduced_forms_and_bytes(seed):
     assert h.hexdigest() == digest
 
 
-def test_failed_split_falls_back_to_the_zoom(caplog):
-    # degree 18: a degree-14 part that fails on its own, times a squared
-    # quadratic; only the zoomed direct solve of the whole form certifies
-    caplog.set_level(logging.DEBUG, logger="formred.roots")
-    coeffs = corpora.generate("hard-scramble", 1, 5)[4]
-    report = formred.reduce_form(formred.BinaryForm(coeffs), method="centroid")
-    assert report.matrix == formred.UnimodularMatrix(15, 7, -43, -20)
-    assert any(r.getMessage().startswith("failed split of ")
-               for r in caplog.records)
-
-
 def test_zoomed_cluster_certifies_under_exact_newton_alone():
-    # degree 18, square-free parts of multiplicities 1 and 2: the split fails
-    # and the zoomed solve of the whole form certifies only while its merged
-    # clusters are polished by exact Newton with multiplicity and by nothing
-    # else; a float modified Newton before it left the power-sum defect at
-    # 8.621e-06
+    # degree 18, square-free parts of multiplicities 1 and 2, whose degree-14
+    # part certifies in its reduced frame; a float modified Newton before the
+    # exact one on merged clusters once left the power-sum defect of the
+    # whole form's solve at 8.621e-06
     coeffs = corpora.generate("hard-scramble", 2, 107)[106]
     report = formred.reduce_form(formred.BinaryForm(coeffs), method="centroid")
     assert report.matrix == formred.UnimodularMatrix(-3, 1, -88, 29)
@@ -174,11 +147,12 @@ def split_decisions(caplog):
 
 
 def first_solve_has_no_cluster(F):
-    """True when the first solve of F fails a certificate while no two of its
-    estimates group within the zoom radius: the ladder's no-cluster failure."""
+    """True when the first solve of F misses the certificates' defect of
+    1e-12 while no two of its estimates lie within 2% (relative) of each
+    other: a failure that no root cluster explains."""
     poly = formred.roots._IntegerPoly.of_form(F)
     xs = formred.roots._refine(poly, formred.roots._float_solve(formred.roots._float_coeffs(F)))
-    groups = formred.roots._groups(xs, formred.roots._ZOOM_GROUP_RADIUS)
+    groups = formred.roots._groups(xs, 0.02)
     return formred.roots._quality(F, xs) > 1e-12 and all(len(g) == 1 for g in groups)
 
 
@@ -195,48 +169,76 @@ def test_unclustered_failure_is_split(caplog):
     assert decision == f"square-free split of {F} into multiplicities [1, 2]"
 
 
-def test_unclustered_failed_split_raises_its_error(caplog):
-    # hard-scramble seed 1 #94, degree 18: the split fails, and with no
-    # cluster to zoom into its error is raised
+def test_unclustered_failed_split_raises_its_error(caplog, no_frame):
+    # hard-scramble seed 1 #94, degree 18: the split fails, and with a frame
+    # that finds nothing its error is raised; the frame reduces it
+    # (test_formerly_failing_form_reduces)
     caplog.set_level(logging.DEBUG, logger="formred.roots")
     F = formred.BinaryForm(corpora.generate("hard-scramble", 1, 95)[94])
     assert first_solve_has_no_cluster(F)
     caplog.clear()
     with pytest.raises(formred.ConvergenceFailure) as failure:
         formred.roots.root_set(F)
-    assert str(failure.value) == "root multiset fails the power-sum certificate (9.435e-05)"
+    assert str(failure.value) == "root multiset fails the power-sum certificate (2.635e-02)"
     logged = split_decisions(caplog)
     assert len(logged) == 2
     assert logged[0].startswith("square-free split of ")
     assert logged[1] == f"failed split of {F}: {failure.value}"
 
 
-# hard-scramble forms whose certified roots do not pair, with the message
-# recorded before the root solver's ladder became one function and the split
-# decisions logged: seed 2 #100 (degree 18, a degree-10 part times a squared
-# quartic; its split fails to pair, and so do the zoomed roots, so the split's
-# error is raised without a second split) and seed 3 #73 (degree 12,
-# square-free, so nothing is split)
+# forms whose roots do not pair while the reduced frame finds nothing
+# (no_frame), with the message and the split decisions logged; the frame
+# pairs both.  exact-centroid seed 1 #157 (degree 6, square-free, so nothing
+# is split): its first solve certifies, and root_set's pairing fails.
+# hard-scramble seed 2 #100 (degree 18, a degree-10 part times a squared
+# quartic), with its split made to fail to pair, with the message its split
+# once gave: the whole form's roots fail their certificate, so the split's
+# error is raised without a second split
 UNPAIRED = {
-    (2, 100): (["square-free split of ", "failed split of "],
+    (1, 157): ("exact-centroid", [],
+               "no conjugate partner for (3.5901638407305017+0.008196674112750959j) "
+               "(closest at distance 1.049e-07)"),
+    (2, 100): ("hard-scramble", ["square-free split of ", "failed split of "],
                "no conjugate partner for (-0.9424128376158092+0.00014863377336235518j) "
                "(closest at distance 3.325e-08)"),
-    (3, 73): ([], "no conjugate partner for (0.2264870361435714+0.00011367922407998224j) "
-                  "(closest at distance 3.081e-08)"),
 }
 
 
 @pytest.mark.parametrize("seed, index", sorted(UNPAIRED))
-def test_unpaired_roots_keep_their_message(caplog, seed, index):
+def test_unpaired_roots_keep_their_message(caplog, monkeypatch, no_frame, seed, index):
     caplog.set_level(logging.DEBUG, logger="formred.roots")
-    decisions, message = UNPAIRED[seed, index]
-    F = formred.BinaryForm(corpora.generate("hard-scramble", seed, index + 1)[index])
+    corpus, decisions, message = UNPAIRED[seed, index]
+
+    def unpaired_split(F, poly, parts):
+        raise formred.UnpairedRoot(message)
+
+    monkeypatch.setattr(formred.roots, "_split", unpaired_split)
+    F = formred.BinaryForm(corpora.generate(corpus, seed, index + 1)[index])
     with pytest.raises(formred.UnpairedRoot) as failure:
         formred.roots.root_set(F)
     assert str(failure.value) == message
     logged = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
     assert len(logged) == len(decisions)
     assert all(m.startswith(d) for m, d in zip(logged, decisions))
+
+
+# hard-scramble forms that failed before the reduced frame, and their
+# matrices: seed 1 #94 and #108 (UNCERTIFIED_ARG in test_cli), seed 2 #100
+# and seed 3 #73
+FORMERLY_FAILING = {
+    (1, 94): (-31, 3, 10, -1),
+    (1, 108): (-81, 8, 10, -1),
+    (2, 100): (49, -16, -52, 17),
+    (3, 73): (12, -5, 53, -22),
+}
+
+
+@pytest.mark.parametrize("seed, index", sorted(FORMERLY_FAILING))
+def test_formerly_failing_form_reduces(seed, index):
+    F = formred.BinaryForm(corpora.generate("hard-scramble", seed, index + 1)[index])
+    report = formred.reduce_form(F, method="centroid")
+    assert report.matrix == formred.UnimodularMatrix(*FORMERLY_FAILING[seed, index])
+    assert formred.reduce.reduced_zero_matches(report)
 
 
 # seed-4 exact-centroid forms with a repeated factor whose zoomed roots lost

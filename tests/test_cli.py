@@ -26,8 +26,9 @@ SEXTIC_ARG = ",".join(str(c) for c in SEXTIC_COEFFS)
 # exact-centroid corpus, seed 1, form 788)
 REPEATED_ARG = ("2125,-160100,5277455,-99412838,1170477910,-8820369328,"
                 "41544466652,-111821274136,131685104200")
-# a square-free degree-10 form whose roots fail the power-sum certificate
-# (the benchmark's hard-scramble corpus, seed 1, form 108)
+# a square-free degree-10 form whose first solve fails the power-sum
+# certificate, and which reduces in its reduced frame (the benchmark's
+# hard-scramble corpus, seed 1, form 108)
 UNCERTIFIED_ARG = ("12879481231461,1043370595706076,38035693887061687,821675477874391233,"
                    "11648731601551736482,113240078743956461637,764467819307000782976,"
                    "3538844379615929499156,10750608630599598972808,19353560352678605096256,"
@@ -62,7 +63,8 @@ ZERO_GOLDEN = json.loads(
 # byte on one input: the worked sextic, the rational-coefficient sextic, the
 # first six forms of the benchmark's accept-both and exact-centroid corpora
 # (seed 1), REPEATED_ARG, UNCERTIFIED_ARG, a blank line, a real-root, an
-# odd-degree, an unparsable and a coefficient-less line
+# odd-degree, an unparsable and a coefficient-less line (UNCERTIFIED_ARG's
+# line reduces; test_uncertified_line_is_one_record keeps a failure record)
 BATCH_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "batch_golden.json").read_text())
 # `formred geodata` stdout under each method, recorded byte for byte on the
@@ -210,11 +212,16 @@ class TestReduceCommand:
         assert out == ""
         assert err == f"error: {UNPAIRED_MESSAGE}\n"
 
-    def test_uncertified_roots_exit_code(self, capsys):
+    def test_uncertified_roots_exit_code(self, capsys, no_frame):
         code, out, err = run(capsys, "reduce", "--coeffs", UNCERTIFIED_ARG)
         assert code == 3
         assert out == ""
         assert err.startswith("error: root multiset fails the power-sum certificate")
+
+    def test_formerly_uncertified_roots_reduce(self, capsys):
+        code, out, err = run(capsys, "reduce", "--coeffs", UNCERTIFIED_ARG)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matrix"] == [[-81, 8], [10, -1]]
 
     @pytest.mark.parametrize("form", OUT_OF_RANGE_ARGS)
     def test_out_of_range_exit_code(self, capsys, form):
@@ -392,6 +399,16 @@ class TestBatch:
             ("unit", "ok"), ("huge", "convergence_failure"), ("after", "ok")]
         assert records[1]["error"] == "form coefficients leave the float range"
         assert summary["records"] == 3 and summary["ok"] == 2 and summary["errors"] == 1
+
+    def test_uncertified_line_is_one_record(self, capsys, monkeypatch, no_frame):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"a,1,0,1\nb,{UNCERTIFIED_ARG}\nc,1,0,2\n"))
+        code, out, _ = run(capsys, "batch", "--input", "-")
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"]) for r in records] == [
+            ("a", "ok"), ("b", "convergence_failure"), ("c", "ok")]
+        assert records[1]["error"] == "root multiset fails the power-sum certificate (7.970e-03)"
+        assert (summary["records"], summary["ok"], summary["errors"]) == (3, 2, 1)
 
     def test_solve_out_of_range_line_is_one_record(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(
@@ -614,7 +631,11 @@ def test_coeffs_value_may_start_with_a_minus(capsys, command, coeffs):
 
 
 class TestParserReuse:
-    # one process running several commands, a usage error, --help and a failure
+    # one process running several commands, a usage error, --help and a
+    # failure: UNCERTIFIED_ARG with a reduced frame that finds nothing
+    # (no_frame), in this process and in each fresh one
+    FRESH = ("import sys, formred.roots; formred.roots._frame_solve = lambda F, poly, xs: None; "
+             "from formred.cli import main; sys.exit(main(sys.argv[1:]))")
     SEQUENCE = (
         ("reduce", "--coeffs", SEXTIC_ARG, "--method", "both"),
         ("zero", "--coeffs", SEXTIC_ARG),
@@ -624,7 +645,7 @@ class TestParserReuse:
         ("reduce", "--coeffs", SEXTIC_ARG, "--format", "text"),
     )
 
-    def test_in_process_calls_match_fresh_interpreters(self, capsys, monkeypatch):
+    def test_in_process_calls_match_fresh_interpreters(self, capsys, monkeypatch, no_frame):
         src = str(Path(formred.__file__).resolve().parent.parent)
         env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -633,10 +654,8 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "80")
         fresh = []
         for argv in self.SEQUENCE:
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from formred.cli import main; sys.exit(main(sys.argv[1:]))",
-                 *argv], env=env, capture_output=True, text=True)
+            proc = subprocess.run([sys.executable, "-c", self.FRESH, *argv],
+                                  env=env, capture_output=True, text=True)
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 3, 0]
         assert [run(capsys, *argv) for argv in self.SEQUENCE] == fresh

@@ -15,6 +15,7 @@ from conftest import (
     SEXTIC_REDUCED,
     SEXTIC_T,
     SEXTIC_U_SQ,
+    corpora,
     random_integer_factor,
     random_totally_complex_form,
     random_unimodular,
@@ -179,6 +180,33 @@ class TestScrambleRecover:
         for form, before, after in grew:
             print(f"height grew under reduction: {form} ({before} -> {after})")
         assert recovered >= 0.95 * total
+
+
+def hard_covariance_cases():
+    """Six products of quadratic factors of degree 10 to 20, by the benchmark's
+    hard-scramble recipe before its scramble (corpora.random_form, height cap
+    10^12), each with three scrambles of bound 100 (corpora.random_unimodular)."""
+    rng = random.Random("covariance:1")
+    cases = []
+    for degree in (10, 12, 14, 16, 18, 20):
+        form = BinaryForm(tuple(corpora.random_form(rng, degree, 10**12, False)))
+        cases.append((form, [UnimodularMatrix(*corpora.random_unimodular(rng, 100))
+                             for _ in range(3)]))
+    return cases
+
+
+# reduce(F^M) gives reduce(F)'s reduced form on hard inputs.  A pair whose
+# zero points tie on the domain's boundary may reduce to two equivalent
+# forms; such a case goes in as a strict xfail until ties are decided
+# exactly (ROADMAP item 6).  None of these ties.
+HARD_COVARIANCE = hard_covariance_cases()
+
+
+@pytest.mark.parametrize("form, scrambles", HARD_COVARIANCE,
+                         ids=[f"degree {form.degree}" for form, _ in HARD_COVARIANCE])
+def test_hard_scrambles_reduce_to_the_same_form(form, scrambles):
+    reduced = reduce_form(form).reduced
+    assert [reduce_form(transform(form, M)).reduced for M in scrambles] == [reduced] * 3
 
 
 class TestRepeatedFactors:

@@ -281,8 +281,8 @@ class TestExactEvaluation:
     @settings(max_examples=100, deadline=None)
     @given(forms, st.integers(-2**40, 2**40), st.integers(0, 80))
     def test_zoom_substitution_matches_fractions(self, F, k, m):
-        # the zoom's change of variables, F(2^24 X + k 2^m Z, 2^(24 + m) Z) on
-        # the integer coefficients, is den 2^((24 + m) n) times F(k/2^24 + w/2^m, 1)
+        # a dyadic shift and scale, F(2^24 X + k 2^m Z, 2^(24 + m) Z) on the
+        # integer coefficients, is den 2^((24 + m) n) times F(k/2^24 + w/2^m, 1)
         poly, n = _IntegerPoly.of_form(F), F.degree
         shifted = _substitute(poly.ints, 1 << 24, k << m, 0, 1 << (24 + m))
         want = fraction_taylor_shift_scaled(F.coeffs, Fraction(k, 2**24), Fraction(1, 2**m))
@@ -519,7 +519,8 @@ class TestExactNewton:
                     random_unimodular(rng, bound=20))
                 poly = _IntegerPoly.of_form(F)
                 xs = _aberth(float_coeffs(F), 200)
-                for group in formred.roots._groups(xs, formred.roots._ZOOM_GROUP_RADIUS):
+                # estimates within 2% (relative) of each other, as a loose cluster
+                for group in formred.roots._groups(xs, 0.02):
                     # the group's mean, as the cluster merge takes it, and each member
                     for x in [_left_sum(group) / len(group), *group]:
                         m = min(multiplicity, len(group))
@@ -1001,8 +1002,8 @@ def failing_split(F, poly, parts):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Counts of the complex_roots and _zoom_solve calls made from here on."""
-    calls = {"complex_roots": 0, "_zoom_solve": 0}
+    """Counts of the complex_roots and _frame_solve calls made from here on."""
+    calls = {"complex_roots": 0, "_frame_solve": 0}
     for name in calls:
         def counting(*args, _name=name, _solve=getattr(formred.roots, name), **kwargs):
             calls[_name] += 1
@@ -1013,13 +1014,14 @@ def solver_calls(monkeypatch):
 
 
 class TestClusterPolicy:
-    """A root cluster from a repeated factor is split exactly, not zoomed into."""
+    """A root cluster from a repeated factor is split exactly; a square-free
+    cluster, or a failed split, is solved in the reduced frame."""
 
     def test_repeated_factor_cluster_is_split_not_zoomed(self, solver_calls):
         assert [i for _, i in square_free_parts(BinaryForm(REPEATED_CLUSTER))] == [1, 2]
         report = formred.reduce_form(BinaryForm(REPEATED_CLUSTER), method="centroid")
         assert formred.reduce.reduced_zero_matches(report)
-        assert solver_calls == {"complex_roots": 1, "_zoom_solve": 0}
+        assert solver_calls == {"complex_roots": 1, "_frame_solve": 0}
 
     def test_complex_roots_splits(self, caplog):
         caplog.set_level(logging.DEBUG, logger="formred.roots")
@@ -1033,23 +1035,26 @@ class TestClusterPolicy:
         rs = root_set(F)
         assert (rs.roots, rs.pairs) == (tuple(roots), pairs)
 
-    def test_square_free_cluster_still_zooms(self, solver_calls):
+    def test_square_free_cluster_is_framed(self, solver_calls, caplog):
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
         F = BinaryForm(SQUARE_FREE_CLUSTER)
         assert square_free_parts(F) == [([Fraction(c, F.coeffs[0]) for c in F.coeffs], 1)]
-        formred.compare_methods(F)
-        assert solver_calls["_zoom_solve"] > 0
+        report = formred.reduce_form(F, method="centroid")
+        assert solver_calls == {"complex_roots": 1, "_frame_solve": 1}
+        # the frame is the reduction that the roots found in it give
+        assert [r.getMessage() for r in caplog.records if "frame" in r.getMessage()] == [
+            f"reduced frame {report.matrix} of {F} after 1 rounds"]
 
-    def test_failed_split_falls_back_to_the_zoom(self, monkeypatch, solver_calls):
-        monkeypatch.setattr(formred.roots, "_split", failing_split)
-        F = BinaryForm(REPEATED_CLUSTER)
-        rs = root_set(F)
-        assert solver_calls["complex_roots"] == 1 and solver_calls["_zoom_solve"] > 0
-        assert rs.roots == tuple(complex_roots(F))
-        assert rs.pairs == pair_conjugates(rs.roots)
-
-    def test_failed_split_zooms_from_the_first_solve(self, monkeypatch):
-        # the zoom fallback starts from the estimates the split was tried on:
-        # one Aberth walk on F's own coefficients, none repeated
+    def test_failed_split_certifies_in_the_frame(self, monkeypatch, solver_calls, caplog):
+        # REPEATED_CLUSTER under (5 2; 2 1): its first solve fails the
+        # certificate, and with the split failing the whole form certifies
+        # in the frame, whose first round reads the first solve's estimates:
+        # one Aberth walk on F's own coefficients
+        F = transform(BinaryForm(REPEATED_CLUSTER), UnimodularMatrix(5, 2, 2, 1))
+        poly = _IntegerPoly.of_form(F)
+        first = formred.roots._refine(poly, formred.roots._float_solve(float_coeffs(F)))
+        with pytest.raises(ConvergenceFailure, match="power-sum"):
+            formred.roots._certify(F, poly, first)
         walks, aberth = [], formred.roots._aberth
 
         def recording(coeffs, max_iter):
@@ -1058,32 +1063,48 @@ class TestClusterPolicy:
 
         monkeypatch.setattr(formred.roots, "_aberth", recording)
         monkeypatch.setattr(formred.roots, "_split", failing_split)
-        F = BinaryForm(REPEATED_CLUSTER)
-        root_set(F)
-        assert walks.count([float(c) for c in F.coeffs]) == 1
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        rs = root_set(F)
+        assert solver_calls == {"complex_roots": 1, "_frame_solve": 1}
+        assert walks.count(float_coeffs(F)) == 1
+        assert rs.pairs == pair_conjugates(rs.roots)
+        assert [r.getMessage() for r in caplog.records if "aberth" not in r.getMessage()] == [
+            f"square-free split of {F} into multiplicities [1, 2]",
+            f"failed split of {F}: split failed",
+            f"reduced frame [[-1,2],[2,-5]] of {F} after 1 rounds"]
+
+    def test_numerically_real_estimate_stays_out_of_the_frame(self):
+        # exact-centroid corpus form (seed 1, #1096): a six-root cluster whose
+        # first solve leaves one estimate about 1e-216 off the real axis; its
+        # weight 1/y would put the center of mass on the axis, where Gauss
+        # reduction does not end
+        F = BinaryForm((399108154, -2678379114, 7489321501, -11168937078, 9369231250,
+                        -4191746568, 781402960))
+        first = formred.roots._refine(_IntegerPoly.of_form(F),
+                                      formred.roots._float_solve(float_coeffs(F)))
+        assert min(abs(x.imag) for x in first) < 1e-200
+        report = formred.reduce_form(F, method="centroid")
+        assert report.matrix == UnimodularMatrix(-19, 9, -17, 8)
+        assert report.reduced.coeffs == (1, 0, 4, 6, 13, 6, 10)
+
+    def test_failing_frame_leaves_the_first_solve(self, monkeypatch):
+        # the octic's first solve certifies with a defect above 1e-12; a frame
+        # whose Gauss reduction does not end leaves those roots
+        def endless(z):
+            raise ConvergenceFailure("fundamental-domain reduction did not terminate")
+
+        F = BinaryForm(SQUARE_FREE_CLUSTER)
+        first = formred.roots._refine(_IntegerPoly.of_form(F),
+                                      formred.roots._float_solve(float_coeffs(F)))
+        monkeypatch.setattr(formred.roots, "reduce_point_to_fundamental_domain", endless)
+        assert complex_roots(F) == sorted(first, key=lambda r: (r.real, r.imag))
 
     def test_failed_split_and_zoom_raise_the_split_error(self, monkeypatch):
+        # the split fails, and so does every certificate after it
         def failing_certificate(*args):
-            raise ConvergenceFailure("zoom failed")
+            raise ConvergenceFailure("certificate failed")
 
         monkeypatch.setattr(formred.roots, "_split", failing_split)
         monkeypatch.setattr(formred.roots, "_certify", failing_certificate)
         with pytest.raises(ConvergenceFailure, match="^split failed$"):
             root_set(BinaryForm(REPEATED_CLUSTER))
-
-    def test_one_debug_record_per_decision(self, monkeypatch, caplog):
-        caplog.set_level(logging.DEBUG, logger="formred.roots")
-        root_set(BinaryForm(REPEATED_CLUSTER))
-        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
-        assert len(decisions) == 1
-        assert decisions[0].startswith("square-free split of ")
-        assert decisions[0].endswith("into multiplicities [1, 2]")
-
-        caplog.clear()
-        monkeypatch.setattr(formred.roots, "_split", failing_split)
-        root_set(BinaryForm(REPEATED_CLUSTER))
-        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
-        assert len(decisions) == 2
-        assert decisions[0].startswith("square-free split of ")
-        assert decisions[1].startswith("failed split of ")
-        assert decisions[1].endswith(": split failed")
