@@ -129,6 +129,22 @@ def test_hard_scramble_keeps_its_reduced_forms_and_bytes(seed):
     assert h.hexdigest() == digest
 
 
+def test_failed_split_falls_back_to_the_zoom(caplog):
+    # hard-scramble seed 2 #11, degree 20: a degree-16 part, solved in its
+    # own frame, times a squared quadratic; the split's roots fail the
+    # certificate of the whole form, whose solve in the reduced frame (which
+    # replaced the zoom) certifies
+    caplog.set_level(logging.DEBUG, logger="formred.roots")
+    F = formred.BinaryForm(corpora.generate("hard-scramble", 2, 12)[11])
+    report = formred.reduce_form(F, method="centroid")
+    assert report.matrix == formred.UnimodularMatrix(93, 88, -37, -35)
+    assert formred.reduce.reduced_zero_matches(report)
+    logged = [r.getMessage() for r in caplog.records if "aberth" not in r.getMessage()]
+    assert logged.index(f"failed split of {F}: root multiset fails the power-sum "
+                        "certificate (2.546e-03)") < logged.index(
+        f"reduced frame [[-93,-88],[37,35]] of {F} after 5 rounds")
+
+
 def test_zoomed_cluster_certifies_under_exact_newton_alone():
     # degree 18, square-free parts of multiplicities 1 and 2, whose degree-14
     # part certifies in its reduced frame; a float modified Newton before the

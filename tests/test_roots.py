@@ -1000,6 +1000,12 @@ def failing_split(F, poly, parts):
     raise ConvergenceFailure("split failed")
 
 
+def scrambled_cluster():
+    """REPEATED_CLUSTER under (5 2; 2 1), whose first solve fails the
+    power-sum certificate."""
+    return transform(BinaryForm(REPEATED_CLUSTER), UnimodularMatrix(5, 2, 2, 1))
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Counts of the complex_roots and _frame_solve calls made from here on."""
@@ -1045,16 +1051,27 @@ class TestClusterPolicy:
         assert [r.getMessage() for r in caplog.records if "frame" in r.getMessage()] == [
             f"reduced frame {report.matrix} of {F} after 1 rounds"]
 
-    def test_failed_split_certifies_in_the_frame(self, monkeypatch, solver_calls, caplog):
-        # REPEATED_CLUSTER under (5 2; 2 1): its first solve fails the
-        # certificate, and with the split failing the whole form certifies
-        # in the frame, whose first round reads the first solve's estimates:
-        # one Aberth walk on F's own coefficients
-        F = transform(BinaryForm(REPEATED_CLUSTER), UnimodularMatrix(5, 2, 2, 1))
+    def test_failed_split_falls_back_to_the_zoom(self, monkeypatch, solver_calls, caplog):
+        # the reduced frame, which replaced the zoom, solves the whole form
+        # after a failed split: its first solve fails the certificate, and
+        # the frame's roots certify
+        F = scrambled_cluster()
         poly = _IntegerPoly.of_form(F)
         first = formred.roots._refine(poly, formred.roots._float_solve(float_coeffs(F)))
         with pytest.raises(ConvergenceFailure, match="power-sum"):
             formred.roots._certify(F, poly, first)
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        rs = root_set(F)
+        assert solver_calls == {"complex_roots": 1, "_frame_solve": 1}
+        assert [r.getMessage() for r in caplog.records if "frame" in r.getMessage()] == [
+            f"reduced frame [[-1,2],[2,-5]] of {F} after 1 rounds"]
+        assert rs.roots == tuple(complex_roots(F))
+        assert rs.pairs == pair_conjugates(rs.roots)
+
+    def test_failed_split_zooms_from_the_first_solve(self, monkeypatch):
+        # the frame after a failed split starts from the estimates the split
+        # was tried on: one Aberth walk on F's own coefficients, none repeated
         walks, aberth = [], formred.roots._aberth
 
         def recording(coeffs, max_iter):
@@ -1063,15 +1080,9 @@ class TestClusterPolicy:
 
         monkeypatch.setattr(formred.roots, "_aberth", recording)
         monkeypatch.setattr(formred.roots, "_split", failing_split)
-        caplog.set_level(logging.DEBUG, logger="formred.roots")
-        rs = root_set(F)
-        assert solver_calls == {"complex_roots": 1, "_frame_solve": 1}
+        F = scrambled_cluster()
+        root_set(F)
         assert walks.count(float_coeffs(F)) == 1
-        assert rs.pairs == pair_conjugates(rs.roots)
-        assert [r.getMessage() for r in caplog.records if "aberth" not in r.getMessage()] == [
-            f"square-free split of {F} into multiplicities [1, 2]",
-            f"failed split of {F}: split failed",
-            f"reduced frame [[-1,2],[2,-5]] of {F} after 1 rounds"]
 
     def test_numerically_real_estimate_stays_out_of_the_frame(self):
         # exact-centroid corpus form (seed 1, #1096): a six-root cluster whose
@@ -1108,3 +1119,29 @@ class TestClusterPolicy:
         monkeypatch.setattr(formred.roots, "_certify", failing_certificate)
         with pytest.raises(ConvergenceFailure, match="^split failed$"):
             root_set(BinaryForm(REPEATED_CLUSTER))
+
+    def test_one_debug_record_per_decision(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="formred.roots")
+        root_set(BinaryForm(REPEATED_CLUSTER))
+        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+        assert len(decisions) == 1
+        assert decisions[0].startswith("square-free split of ")
+        assert decisions[0].endswith("into multiplicities [1, 2]")
+
+        caplog.clear()
+        monkeypatch.setattr(formred.roots, "_split", failing_split)
+        root_set(BinaryForm(REPEATED_CLUSTER))
+        decisions = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
+        assert len(decisions) == 2
+        assert decisions[0].startswith("square-free split of ")
+        assert decisions[1].startswith("failed split of ")
+        assert decisions[1].endswith(": split failed")
+
+        # a failed split whose form is then framed: one record more, the frame's
+        caplog.clear()
+        F = scrambled_cluster()
+        root_set(F)
+        assert [r.getMessage() for r in caplog.records if "aberth" not in r.getMessage()] == [
+            f"square-free split of {F} into multiplicities [1, 2]",
+            f"failed split of {F}: split failed",
+            f"reduced frame [[-1,2],[2,-5]] of {F} after 1 rounds"]
